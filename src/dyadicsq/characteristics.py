@@ -19,6 +19,17 @@ from .squarefn import level_averages
 _LD = np.longdouble
 
 
+class NonFiniteCandidateError(ValueError):
+    """A candidate of a supremum came out NaN (an overflowed or 0/0 average)."""
+
+
+def _checked_max(best: float, value: float, where: str) -> float:
+    """max(best, value), except that a NaN value raises instead of being dropped."""
+    if math.isnan(value):
+        raise NonFiniteCandidateError(f"NaN candidate at {where}")
+    return max(best, value)
+
+
 @dataclass(frozen=True)
 class CharacteristicEstimate:
     value: float
@@ -40,7 +51,7 @@ def dyadic_joint_ap(w: Density, sigma: Density, p: float, depth: int) -> Charact
     best = 0.0
     for lev in range(depth + 1):
         vals = aw[lev] * asig[lev] ** (p - 1.0)
-        best = max(best, float(np.max(vals)))
+        best = _checked_max(best, float(np.max(vals)), f"roots of level {lev}, depth {depth}")
     return CharacteristicEstimate(best, "joint_ap", ("dyadic", depth), p)
 
 
@@ -101,7 +112,7 @@ def _ainfty_full_tree(sigma: Density, depth: int) -> CharacteristicEstimate:
         # integral of the within-root maximal function for every root at lev
         sums = running.reshape(2 ** lev, n_leaf // 2 ** lev).sum(axis=1) / n_leaf
         ratios = sums / (avgs[lev] * 2.0 ** (-lev))
-        best = max(best, float(np.max(ratios)))
+        best = _checked_max(best, float(np.max(ratios)), f"roots of level {lev}, depth {depth}")
     return CharacteristicEstimate(best, "a_infty", ("dyadic", depth))
 
 
@@ -114,7 +125,7 @@ def _ainfty_radial(sigma: Density, n_max: int, root_max: int) -> CharacteristicE
         mvals = np.maximum(cm, j_avg[m + 1 : n_max + 1])  # aligned with n = m+1..n_max
         weights = np.exp2(_as_ld_range(m, n_max))          # 2^(m-n)
         ratio = float(np.sum(mvals * weights) / i_avg[m])
-        best = max(best, ratio)
+        best = _checked_max(best, ratio, f"root I_{m}, n_max {n_max}")
     return CharacteristicEstimate(best, "a_infty", ("spine", n_max))
 
 

@@ -52,7 +52,10 @@ def _fmt(v) -> str:
 
 def emit_csv(path: str, metadata: dict, header: list[str], rows,
              fits: dict | None = None, timestamp: bool = True) -> None:
-    """UTF-8 CSV: '#'-prefixed metadata, header, data rows, '#fit' footer."""
+    """UTF-8 CSV: '#'-prefixed metadata, header, data rows, '#fit' footer.
+
+    The file appears complete or not at all.
+    """
     lines = [f"# tool: dyadicsq {__version__}"]
     for k, v in metadata.items():
         lines.append(f"# {k}: {_fmt(v)}")
@@ -67,8 +70,15 @@ def emit_csv(path: str, metadata: dict, header: list[str], rows,
             f"max_residual={_fmt(fit.max_residual)},"
             f"window_lo={_fmt(fit.window[0])},window_hi={_fmt(fit.window[1])}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # write beside the target and rename, so a failed write leaves no file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _resolve_out(path: str) -> str:

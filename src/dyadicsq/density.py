@@ -8,7 +8,9 @@ never attempted across the singular point 0.
 Conventions:
 
 * all densities except :class:`PeriodicReflect` are supported in [0, 1);
-* ``primitive(t)`` is the mass of [0, t), vectorized over numpy arrays;
+* ``primitive(t)`` is the mass of [0, t), vectorized over numpy arrays; without
+  an antiderivative (:class:`ShellwiseDensity`) it is the mass below the point's
+  shell, cached per instance and shell, plus a vectorized partial shell;
 * ``spine_averages(n_max)`` returns the averages over I_k = [0, 2^-k) and over
   the shells J_n = [2^-n, 2^-(n-1)) as extended-precision arrays, which is the
   workhorse for all deep spine computations;
@@ -35,6 +37,9 @@ _SUFFIX_TAPS = 70
 
 _LD = np.longdouble
 
+#: Deepest shell J_n whose left end 2^-n is a nonzero double.
+_MAX_SHELL = 1074
+
 
 class NonIntegrableError(ValueError):
     """The requested integral diverges (e.g. x^gamma with gamma <= -1 down to 0)."""
@@ -42,6 +47,13 @@ class NonIntegrableError(ValueError):
 
 def _as_longdouble(x):
     return np.asarray(x, dtype=_LD)
+
+
+def _shell_index(t):
+    """n with t in (2^-n, 2^(1-n)] for 0 < t <= 1, exactly: a power of two
+    2^-k falls in J_(k+1), whose partial shell is then whole."""
+    m, e = np.frexp(t)
+    return (1 - e + (m == 0.5)).astype(np.int64)
 
 
 class Density:
@@ -53,6 +65,10 @@ class Density:
     def primitive(self, t):
         """Mass of [0, t) for t in [0, 1], vectorized."""
         raise NotImplementedError
+
+    def _partial(self, n, t):
+        """Mass of [2^-n, t) for t in (2^-n, 2^(1-n)], vectorized over n and t."""
+        return self.primitive(t) - self.primitive(np.ldexp(1.0, -n))
 
     def integrate(self, a: float, b: float) -> float:
         """Exact or certified integral over [a, b), 0 <= a < b <= 1."""
@@ -71,9 +87,7 @@ class Density:
                 f"{type(self).__name__}: generic spine averages limited to depth 1000"
             )
         k = np.arange(n_max + 1)
-        masses = _as_longdouble([self.primitive(0.5 ** int(j)) for j in k])
-        two_k = np.exp2(_as_longdouble(k))
-        i_avg = masses * two_k
+        i_avg = _as_longdouble(self.primitive(np.ldexp(1.0, -k))) * np.exp2(_as_longdouble(k))
         j_avg = np.empty(n_max + 1, dtype=_LD)
         j_avg[0] = np.nan
         j_avg[1:] = 2.0 * i_avg[:-1] - i_avg[1:]
@@ -94,6 +108,36 @@ class Density:
                 f"{type(self).__name__}: spine mass not available at depth {k}"
             )
         return float(self.primitive(0.5 ** k))
+
+
+class ShellwiseDensity(Density):
+    """A density integrated shell by shell, for want of an antiderivative.
+
+    For t in J_n, ``primitive(t)`` is the mass below 2^-n plus ``_partial``.
+    Subclasses supply ``_masses_below(ns)``, the masses of [0, 2^-n); they are
+    cached on the instance, so each shell is summed once however many points
+    it holds.
+    """
+
+    @cached_property
+    def _below(self) -> dict[int, float]:
+        return {}
+
+    def primitive(self, t):
+        t_arr = np.asarray(t, dtype=float)
+        out = np.zeros(t_arr.shape)
+        pos = t_arr > 0.0
+        tp = np.minimum(t_arr[pos], 1.0)
+        n = _shell_index(tp)
+        if n.size and n.max() > _MAX_SHELL:
+            raise NonIntegrableError(f"{type(self).__name__}: primitive limited to "
+                                     f"depth {_MAX_SHELL}, got t = {tp.min()!r}")
+        shells, at = np.unique(n, return_inverse=True)
+        if new := [k for k in shells.tolist() if k not in self._below]:
+            self._below.update(zip(new, self._masses_below(np.array(new)).tolist()))
+        below = np.array([self._below[k] for k in shells.tolist()])
+        out[pos] = below[at] + self._partial(n, tp)
+        return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +236,8 @@ class LogPowerOverX(Density):
         if self.s <= 1.0:
             raise NonIntegrableError(f"1/(x (1-log2 x)^{self.s}) is not integrable near 0")
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
         pos = t > 0
-        out = np.where(pos, self.c * LN2 / (self.s - 1.0) * np.where(pos, _u(np.where(pos, t, 0.5)), 1.0) ** (1.0 - self.s), 0.0)
-        return out
+        return np.where(pos, self.c * LN2 / (self.s - 1.0) * np.where(pos, _u(np.where(pos, t, 0.5)), 1.0) ** (1.0 - self.s), 0.0)
 
     def integrate(self, a: float, b: float) -> float:
         # valid for every s as long as a > 0
@@ -243,12 +285,12 @@ _GL_W = _GL_W / 2.0
 
 
 @dataclass(frozen=True)
-class LogPowerPlain(Density):
+class LogPowerPlain(ShellwiseDensity):
     """(1 - log2 x)^(-s) on (0, 1); no elementary antiderivative.
 
     Shell masses are computed by fixed-order Gauss-Legendre on the substituted
-    integrand ln2 * 2^(1-tau) (n + tau)^(-s), tau in [0, 1], which is smooth;
-    partial shells use adaptive quadrature.
+    integrand ln2 * 2^(1-tau) (n + tau)^(-s), tau in [0, 1], which is smooth,
+    and partial shells by the same rule in x; other [a, b) by adaptive quadrature.
     """
 
     s: float
@@ -280,35 +322,23 @@ class LogPowerPlain(Density):
         n = np.arange(n_lo, n_hi + 1, dtype=float)
         return self.shell_avgs_vec(n_lo, n_hi) * np.exp2(-n)
 
-    def primitive(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            out[i] = self._primitive_scalar(float(ti))
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+    def _masses_below(self, ns):
+        # whole shells J_m, m > n; their masses decay faster than 2^-m
+        return np.array([self.shell_masses_vec(k + 1, k + _SUFFIX_TAPS).sum()
+                         for k in ns.tolist()])
 
-    def _primitive_scalar(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        t = min(t, 1.0)
-        n = max(1, math.ceil(-math.log2(t)) if t < 1.0 else 1)
-        # whole shells J_m, m > n, then the partial piece [2^-n, t)
-        total = self._suffix_mass(n)
-        lo = 0.5 ** n
-        if t > lo:
-            total += quad(lambda x: _u(x) ** (-self.s), lo, t, epsabs=0.0, epsrel=1e-12)[0]
-        return total
-
-    def _suffix_mass(self, n: int) -> float:
-        # sum of shell masses below 2^-n; terms decay faster than 2^-m
-        masses = self.shell_masses_vec(n + 1, n + _SUFFIX_TAPS)
-        return float(masses.sum())
+    def _partial(self, n, t):
+        # analytic within three half-lengths of [2^-n, t): 16 nodes reach rounding
+        lo = np.ldexp(1.0, -n)
+        h = t - lo
+        x = lo[..., None] + h[..., None] * _GL_X
+        return h * (_u(x) ** (-self.s) * _GL_W).sum(axis=-1)  # rowwise: no BLAS blocking
 
     def integrate(self, a: float, b: float) -> float:
         if not 0.0 <= a < b <= 1.0 + 1e-15:
             raise ValueError(f"bad interval [{a}, {b})")
         if a == 0.0:
-            return self._primitive_scalar(b)
+            return float(self.primitive(b))
         return quad(lambda x: _u(x) ** (-self.s), a, min(b, 1.0),
                     epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
@@ -380,7 +410,7 @@ class Sum(Density):
 
 
 @dataclass(frozen=True)
-class SignModulate(Density):
+class SignModulate(ShellwiseDensity):
     """Multiply by (-1)^floor(-log2 x): sign (-1)^(n-1) on the shell J_n."""
 
     inner: Density
@@ -405,31 +435,12 @@ class SignModulate(Density):
         i_avg = ((-1.0) ** n) * folded
         return i_avg, j_avg
 
-    def primitive(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            out[i] = self._primitive_scalar(float(ti))
-        return out[0] if np.ndim(t) == 0 else out
+    def _masses_below(self, ns):
+        i_avg, _ = self.spine_averages(int(ns.max()))
+        return i_avg[ns].astype(float) * np.ldexp(1.0, -ns)
 
-    def _primitive_scalar(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        t = min(t, 1.0)
-        if t == 1.0:
-            n = 1
-        else:
-            n = math.floor(-math.log2(t)) + 1  # t lies in J_n = [2^-n, 2^(1-n))
-        lo = 0.5 ** n
-        i_avg, _ = self.spine_averages(min(n, 1000))
-        total = float(i_avg[n]) * lo  # mass of [0, 2^-n)
-        if t > lo:
-            sign = (-1.0) ** (n - 1)
-            total += sign * self.inner.integrate(lo, t)
-        return total
-
-    def integrate(self, a, b):
-        return float(self._primitive_scalar(b) - self._primitive_scalar(a))
+    def _partial(self, n, t):
+        return np.where(n % 2 == 1, 1.0, -1.0) * self.inner._partial(n, t)
 
 
 @dataclass(frozen=True)
@@ -489,27 +500,30 @@ class AffinePullback(Density):
         u = np.clip(u, 0.0, 1.0)
         return np.where(inside, self.inner.value(u), 0.0)
 
-    def integrate(self, a, b):
+    def _inner_range(self, a, b):
+        """[a, b) cut to the support, in inner coordinates cut to [0, 1]."""
         lo, hi = self.support
-        a2, b2 = max(a, lo), min(b, hi)
-        if a2 >= b2:
-            return 0.0
+        a2, b2 = np.maximum(a, lo), np.minimum(b, hi)
         if self.reflected:
             ua, ub = (self.offset - b2) / self.scale, (self.offset - a2) / self.scale
         else:
             ua, ub = (a2 - self.offset) / self.scale, (b2 - self.offset) / self.scale
-        ua, ub = max(ua, 0.0), min(ub, 1.0)
+        return np.maximum(ua, 0.0), np.minimum(ub, 1.0)
+
+    def integrate(self, a, b):
+        ua, ub = self._inner_range(a, b)
         if ua >= ub:
             return 0.0
-        return self.scale * self.inner.integrate(ua, ub)
+        return self.scale * self.inner.integrate(float(ua), float(ub))
 
     def primitive(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self.integrate(0.0, ti) if ti > 0 else 0.0 for ti in t_arr])
-        return out[0] if np.ndim(t) == 0 else out
+        ua, ub = self._inner_range(0.0, np.asarray(t, dtype=float))
+        ua = np.minimum(ua, 1.0)
+        ub = np.maximum(ub, ua)  # an empty range gives inner mass 0 exactly
+        return (self.scale * (self.inner.primitive(ub) - self.inner.primitive(ua)))[()]
 
 
-class PiecewiseDyadic(Density):
+class PiecewiseDyadic(ShellwiseDensity):
     """A density glued shell by shell: piece(n) is supported on J_n, n >= 1."""
 
     def __init__(self, piece_fn, name: str = "piecewise"):
@@ -530,18 +544,14 @@ class PiecewiseDyadic(Density):
         return self._masses[n]
 
     def value(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x_arr)
-        for i, xi in enumerate(x_arr):
-            if xi == 0.0:
-                out[i] = 1.0
-            elif 0.0 < xi < 1.0:
-                n = math.floor(-math.log2(xi)) + 1
-                if xi >= 0.5 ** (n - 1):  # xi exactly a power of two boundary
-                    n -= 1
-                p = self.piece(n)
-                out[i] = 0.0 if p is None else float(np.asarray(p.value(xi)))
-        return out[0] if np.ndim(x) == 0 else out
+        x = np.asarray(x, dtype=float)
+        inside = (x > 0) & (x < 1)
+        n = 1 - np.frexp(np.where(inside, x, 0.5))[1]  # x in [2^-n, 2^(1-n))
+        out = np.where(x == 0.0, 1.0, 0.0)
+        for k in np.unique(n[inside]).tolist():
+            if (p := self.piece(k)) is not None:
+                out[inside & (n == k)] = p.value(x[inside & (n == k)])
+        return out[()]
 
     def suffix_mass(self, k: int) -> float:
         """Mass of I_k, by shell summation with a geometric stopping rule.
@@ -562,28 +572,16 @@ class PiecewiseDyadic(Density):
                 small_run = 0
         return total
 
-    def primitive(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            out[i] = self._primitive_scalar(float(ti))
-        return out[0] if np.ndim(t) == 0 else out
+    def _masses_below(self, ns):
+        return np.array([self.suffix_mass(k) for k in ns.tolist()])
 
-    def _primitive_scalar(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        t = min(t, 1.0)
-        n = 1 if t == 1.0 else math.floor(-math.log2(t)) + 1
-        lo = 0.5 ** n
-        total = self.suffix_mass(n)
-        if t > lo:
-            p = self.piece(n)
-            if p is not None:
-                total += p.integrate(lo, t)
-        return total
-
-    def integrate(self, a, b):
-        return float(self._primitive_scalar(b) - self._primitive_scalar(a))
+    def _partial(self, n, t):
+        # a piece lives on its shell, so its primitive is its partial mass
+        out = np.zeros_like(t)
+        for k in np.unique(n).tolist():
+            if (p := self.piece(k)) is not None:
+                out[n == k] = p.primitive(t[n == k])
+        return out
 
     def spine_averages(self, n_max):
         if n_max > 900:

@@ -142,3 +142,15 @@ def test_scan_rejects_bad_grid():
     w = PeriodicReflect(Constant(1.0))
     with pytest.raises(ValueError):
         interval_scan_joint_ap(w, w, 2.0, span=2, grid_step=0.3)
+
+
+def test_nan_candidates_raise_instead_of_vanishing():
+    from dyadicsq.characteristics import NonFiniteCandidateError
+
+    with pytest.raises(NonFiniteCandidateError, match="depth 3"):
+        dyadic_joint_ap(Constant(float("nan")), Constant(1.0), 3.0, 3)
+    with np.errstate(invalid="ignore"):  # the zero weight makes every ratio 0/0
+        with pytest.raises(NonFiniteCandidateError, match="depth 3"):
+            dyadic_ainfty(Constant(0.0), depth=3)
+        with pytest.raises(NonFiniteCandidateError, match="root I_0, n_max 8"):
+            dyadic_ainfty(Constant(0.0), mode="radial", n_max=8)

@@ -127,3 +127,41 @@ def test_divergence_csv(tmp_path):
     header = next(l for l in lines if not l.startswith("#"))
     assert header == "k,partial_mass,paper_bound,ratio"
     assert any(l.startswith("#fit,name=partial_mass") for l in lines)
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    import dyadicsq.cli as cli
+
+    class DiskFull:
+        """A file that takes the first bytes of a write, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+    code = run(["characteristics", "--family", "power_pair_i", "--p", "2",
+                "--beta", "0.5", "--depth", "6", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_IO
+    assert "# error code=5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nan_characteristic_is_a_precondition_error(tmp_path, capsys):
+    # at beta = 1 - 2^-11 the radial A_infty averages of x^-beta overflow
+    out = tmp_path / "g.csv"
+    code = run(["ainfty-growth", "--p", "3", "--beta-grid", "j=9..11",
+                "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION
+    assert "type=NonFiniteCandidateError" in err and "n_max 32768" in err
+    assert not out.exists()

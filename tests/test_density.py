@@ -249,3 +249,100 @@ def test_periodic_reflect_integrals():
     assert g.integrate(1.0, 2.0) == pytest.approx(unit, rel=1e-12)
     # reflection: mass near an even integer is symmetric
     assert g.integrate(-0.25, 0.0) == pytest.approx(g.integrate(0.0, 0.25), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the shell-indexed primitive
+
+
+def _direct_sum():
+    from dyadicsq.families import direct_sum_family
+    return direct_sum_family(3.0)
+
+
+def _onto_shell(n, reflected):
+    # LogPowerPlain placed on J_n the way the glued families place their blocks
+    offset = 2.0 ** (1 - n) if reflected else 2.0 ** -n
+    return AffinePullback(LogPowerPlain(0.4), offset, 2.0 ** -n, reflected)
+
+
+# densities integrated through the shell-indexed path, built for shell n; the
+# quadrature oracle is trusted only where the integrand is smooth, so every
+# one breaks at powers of two at most
+SHELLWISE = {
+    "log_power_plain": lambda n: LogPowerPlain(0.4),
+    "sign_constant": lambda n: SignModulate(Constant(1.0)),
+    "sign_log_power_plain": lambda n: SignModulate(LogPowerPlain(0.4)),
+    "pullback_forward": lambda n: _onto_shell(n, False),
+    "pullback_reflected": lambda n: _onto_shell(n, True),
+    "direct_sum_sigma": lambda n: _direct_sum().sigma,
+}
+
+# points in shells 1..30: a power of two, an interior point, and the shell top
+_SHELL_POINTS = np.array([x for n in range(1, 31)
+                          for x in (2.0 ** -n, 1.37 * 2.0 ** -n, 2.0 ** (1 - n))])
+
+
+@pytest.mark.parametrize("name", sorted(SHELLWISE))
+def test_primitive_array_matches_scalar_calls(name):
+    g = SHELLWISE[name](3)
+    ts = np.concatenate([[0.0, 1.0], _SHELL_POINTS, np.arange(1, 64) / 64.0])
+    whole = g.primitive(ts)
+    fresh = SHELLWISE[name](3)
+    for t, got in zip(ts, whole):
+        assert fresh.primitive(float(t)) == got
+
+
+@pytest.mark.parametrize("name", sorted(SHELLWISE))
+def test_primitive_matches_quadrature(name):
+    for n in range(1, 31):
+        g = SHELLWISE[name](n)
+        lo, mid, hi = 2.0 ** -n, 1.37 * 2.0 ** -n, 2.0 ** (1 - n)
+        for a, b in ((lo, mid), (mid, hi), (lo, hi)):
+            got = float(g.primitive(b) - g.primitive(a))
+            want = quadrature_integrate(g, a, b)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-300), (n, a, b)
+
+
+def test_primitive_caches_are_per_instance():
+    ts = _SHELL_POINTS
+    for make in (lambda s: LogPowerPlain(s), lambda s: SignModulate(Constant(s))):
+        a, b = make(0.3), make(0.6)
+        first = a.primitive(ts)
+        assert np.array_equal(b.primitive(ts), make(0.6).primitive(ts))
+        assert np.array_equal(a.primitive(ts), first)
+        assert a._below is not b._below and a._below != b._below
+
+
+def test_primitive_builds_spine_averages_once_per_call(monkeypatch):
+    from collections import Counter
+
+    calls = Counter()
+    for cls in (SignModulate, LogPowerPlain):
+        original = cls.spine_averages
+
+        def counted(self, n_max, _original=original):
+            calls[id(self)] += 1
+            return _original(self, n_max)
+
+        monkeypatch.setattr(cls, "spine_averages", counted)
+    g = SignModulate(LogPowerPlain(0.4))
+    g.primitive(np.arange(4097) / 4096.0)
+    assert calls and max(calls.values()) <= 1
+
+
+def test_sign_modulate_primitive_at_deep_points():
+    g = SignModulate(Constant(1.0))
+    # mass of I_k is (-1)^k 2^-k / 3
+    assert g.primitive(2.0 ** -1000) == pytest.approx(2.0 ** -1000 / 3.0, rel=1e-14)
+    assert g.primitive(2.0 ** -1001) == pytest.approx(-(2.0 ** -1001) / 3.0, rel=1e-14)
+    with pytest.raises(NonIntegrableError, match="depth 1074"):
+        g.primitive(5e-324)
+
+
+def test_piecewise_dyadic_value_array_matches_scalar_calls():
+    g = _direct_sum().w
+    xs = np.concatenate([[0.0, 1.0, 1.5], _SHELL_POINTS, np.arange(1, 64) / 64.0])
+    vals = g.value(xs)
+    for x, v in zip(xs, vals):
+        assert g.value(float(x)) == v
