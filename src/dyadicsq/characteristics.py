@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import Density, dual_power
 from .squarefn import level_averages
@@ -138,6 +139,10 @@ def interval_scan_joint_ap(w, sigma, p: float, span: int, grid_step: float) -> C
     """max of <w><sigma>^(p-1) over all grid-aligned intervals in [-span, span],
     augmented with left-anchored intervals (0, 2^-j) hitting the singular points.
 
+    The grid part is the exact maximum over every grid pair, bit for bit the
+    value of evaluating each pair; a certified upper bound on blocks of pairs
+    (see ``_pair_scan_max``) only skips the pairs that cannot beat it.
+
     ``w`` and ``sigma`` must expose ``cumulative(xs, x0)`` (PeriodicReflect) or
     be [0,1)-supported densities scanned on [0, 1] only.
     """
@@ -150,8 +155,7 @@ def interval_scan_joint_ap(w, sigma, p: float, span: int, grid_step: float) -> C
     # period-2 pairs: any interval translates by an even integer to one with
     # left endpoint in the first period, with identical cumulative increments
     n_rows = int(round(2.0 / grid_step)) if hasattr(w, "cumulative") else None
-    best = _pair_scan_max(xs, cw, cs, p, n_rows)
-    best = max(best, _singular_pair_max(w, sigma, p, span))
+    best = _pair_scan_max(xs, cw, cs, p, n_rows, floor=_singular_pair_max(w, sigma, p, span))
     return CharacteristicEstimate(best, "joint_ap", ("scan", grid_step, span), p)
 
 
@@ -165,42 +169,127 @@ def _cumulative_on_grid(g, span: int, h: float):
     return xs, np.asarray(g.primitive(xs), dtype=float)
 
 
-def _pow_pm1(x: np.ndarray, p: float) -> np.ndarray:
-    q = p - 1.0
-    if abs(q - round(q)) < 1e-12 and 1 <= round(q) <= 4:
-        out = x.copy()
-        for _ in range(int(round(q)) - 1):
+# Block sides (rows and lags) of the scan's branch-and-bound: coarse blocks
+# are bounded all at once, fine blocks one coarse block at a time (which keeps
+# the temporaries small).  In each column of fine blocks (one fine side of
+# lags) the rows from the first to the last surviving block are evaluated
+# exactly as one rectangle.
+_COARSE = 512
+_FINE = 32
+# relative inflation of every block bound: pow (libm's for the divisor,
+# numpy's for a fractional p - 1) is accurate to about an ulp, not monotone
+_SLACK = 1.0 + 16.0 * np.finfo(float).eps
+
+
+def _pow_q(x: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x ** q elementwise; repeated multiplication for integer q in 1..4."""
+    k = round(q)
+    if abs(q - k) < 1e-12 and 1 <= k <= 4:
+        # the products of a per-lag loop: x * x, then * x again, ...
+        out = np.multiply(x, x if k > 1 else 1.0, out=out)
+        for _ in range(k - 2):
             out *= x
         return out
-    return x ** q
+    return np.power(x, q, out=out)
 
 
-def _pair_scan_max(xs, cw, cs, p: float, n_rows: int | None = None) -> float:
-    """max over grid pairs of <w><sigma>^(p-1), one pass per lag so the
-    (h*lag)^-p factor is a scalar applied after the per-lag maximum."""
-    n = xs.size
+def _pair_scan_max(xs, cw, cs, p: float, n_rows: int | None = None, floor: float = 0.0) -> float:
+    """max(floor, max over grid pairs i < i + lag of <w><sigma>^(p-1)).
+
+    Each pair's value is computed exactly as ``dw * ds^(p-1)`` with the lag's
+    maximum divided by the float ``(h*lag)**p``, so the result is bit for bit
+    the brute-force maximum.  Pairs are visited in blocks of rows [r0, r1] x
+    lags [l0, l1]: every pair's increment lies between the suffix minimum of
+    the cumulative at r0 and its prefix maximum at r1 + l1, so the rounded
+    products of those envelope increments (floating point rounding is
+    monotone, and pow gets a relative slack) bound every value in the block,
+    also where the computed cumulative steps down at rounding level.  Blocks
+    whose bound does not beat the best value so far are skipped.
+    """
     h = float(xs[1] - xs[0])
-    rows = n - 1 if n_rows is None else min(n_rows, n - 1)
-    buf = np.empty(rows)
-    q = p - 1.0
-    int_q = int(round(q)) if abs(q - round(q)) < 1e-12 and 1 <= round(q) <= 4 else 0
-    best = 0.0
-    for lag in range(1, n):
-        m = min(rows, n - lag)
-        dw = cw[lag : lag + m] - cw[:m]
-        ds = cs[lag : lag + m] - cs[:m]
-        v = buf[:m]
-        if int_q:
-            np.copyto(v, ds)
-            for _ in range(int_q - 1):
-                v *= ds
-        else:
-            np.power(ds, q, out=v)
-        v *= dw
-        top = float(v.max()) / (h * lag) ** p
-        if top > best:
-            best = top
+    if not (np.isfinite(cw).all() and np.isfinite(cs).all()):
+        raise NonFiniteCandidateError(
+            f"non-finite cumulative on the scan grid [{xs[0]:g}, {xs[-1]:g}], "
+            f"step 2^{round(math.log2(h))}")
+    scan = _PairScan(cw, cs, h, p, n_rows)
+    n = cw.size
+    # the divisor (h*lag)^p at the first lag of each block: it grows with the
+    # lag up to pow's rounding, which _SLACK covers
+    fine_div = np.array([(h * lag) ** p for lag in range(1, n, _FINE)])
+    cr0, cr1 = _edges(0, scan.rows, _COARSE)
+    cl0, cl1 = _edges(1, n, _COARSE)
+    coarse = scan.bounds(cr0, cr1, cl0, cl1, fine_div[:: _COARSE // _FINE])
+    best = floor
+    for flat in np.argsort(coarse, axis=None)[::-1]:
+        if not coarse.flat[flat] > best:
+            break
+        a, b = divmod(int(flat), coarse.shape[1])
+        fr0, fr1 = _edges(cr0[a], cr1[a] + 1, _FINE)
+        fl0, fl1 = _edges(cl0[b], cl1[b] + 1, _FINE)
+        first = (cl0[b] - 1) // _FINE
+        fine = scan.bounds(fr0, fr1, fl0, fl1, fine_div[first : first + fl0.size])
+        for c in np.flatnonzero((fine > best).any(axis=0)):
+            hit = np.flatnonzero(fine[:, c] > best)
+            if hit.size:
+                best = scan.exact_max((fr0[hit[0]], fr1[hit[-1]] + 1), (fl0[c], fl1[c] + 1), best)
     return best
+
+
+def _edges(first: int, stop: int, side: int):
+    """First and last index of the blocks of ``side`` indices from first to stop."""
+    start = np.arange(first, stop, side)
+    return start, np.minimum(start + side, stop) - 1
+
+
+def _envelopes(c):
+    """(suffix minimum, prefix maximum) of c: c itself where it never steps down."""
+    if (c[1:] >= c[:-1]).all():
+        return c, c
+    return np.minimum.accumulate(c[::-1])[::-1], np.maximum.accumulate(c)
+
+
+class _PairScan:
+    """The arrays one interval scan bounds and evaluates its pairs with."""
+
+    def __init__(self, cw, cs, h: float, p: float, n_rows: int | None):
+        self.cw, self.cs, self.h, self.p = cw, cs, h, p
+        self.rows = cw.size - 1 if n_rows is None else min(n_rows, cw.size - 1)
+        self.envelopes = _envelopes(cw), _envelopes(cs)
+        # right ends past the grid are padded so that their pair values come
+        # out -inf; a rectangle reaches less than _FINE + _COARSE beyond it
+        pad = np.full(2 * _COARSE, np.inf)
+        self.right = (sliding_window_view(np.concatenate([cw, -pad]), _COARSE),
+                      sliding_window_view(np.concatenate([cs, pad]), _COARSE))
+        self.div = np.zeros(cw.size)  # (h*lag)^p, filled as lags are evaluated
+        self.buf = np.empty((2, _FINE * _COARSE))
+
+    def bounds(self, r0, r1, l0, l1, div_first):
+        """(rows x lags) grid of block bounds; -inf where a block holds no pair."""
+        last = self.cw.size - 1
+        top = np.minimum(r1[:, None] + l1, last)
+        (lo_w, hi_w), (lo_s, hi_s) = self.envelopes
+        dw = hi_w[top] - lo_w[r0][:, None]
+        ds = hi_s[top] - lo_s[r0][:, None]
+        b = _pow_q(ds, self.p - 1.0) * dw / div_first * _SLACK
+        b[np.isnan(b)] = np.inf  # 0 * inf: evaluate, and let the NaN raise
+        b[r0[:, None] + l0 > last] = -np.inf
+        return b
+
+    def exact_max(self, row_range, lag_range, best: float) -> float:
+        """max(best, every pair value with its row and lag in the given
+        ranges), with the arithmetic of a per-lag brute-force pass."""
+        (ra, rb), (la, lb) = row_range, lag_range
+        ends, shape = slice(ra + la, ra + lb), (lb - la, rb - ra)
+        ds, v = (b[: shape[0] * shape[1]].reshape(shape) for b in self.buf)  # (lag, row)
+        np.subtract(self.right[1][ends, : rb - ra], self.cs[ra:rb], out=ds)
+        _pow_q(ds, self.p - 1.0, out=v)
+        v *= np.subtract(self.right[0][ends, : rb - ra], self.cw[ra:rb], out=ds)
+        div = self.div[la:lb]
+        if not div[0]:
+            div[:] = [(self.h * lag) ** self.p for lag in range(la, lb)]
+        top = float((v.max(axis=1) / div).max())
+        return _checked_max(best, top,
+                            f"rows {ra}..{rb - 1}, lags {la}..{lb - 1} of the interval scan")
 
 
 def _singular_pair_max(w, sigma, p: float, span: int) -> float:
@@ -212,9 +301,8 @@ def _singular_pair_max(w, sigma, p: float, span: int) -> float:
             for a, b in ((c, c + h), (c - h, c), (c - h, c + h)):
                 if a < -span or b > span:
                     continue
-                val = _avg_product(w, sigma, p, a, b)
-                if val > best:
-                    best = val
+                best = _checked_max(best, _avg_product(w, sigma, p, a, b),
+                                    f"singular probe [{a:g}, {b:g}), span {span}")
     return best
 
 

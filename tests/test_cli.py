@@ -165,3 +165,24 @@ def test_nan_characteristic_is_a_precondition_error(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
     assert "type=NonFiniteCandidateError" in err and "n_max 32768" in err
     assert not out.exists()
+
+
+def test_nan_in_the_interval_scan_is_a_precondition_error(tmp_path, monkeypatch, capsys):
+    from dyadicsq.density import PeriodicReflect
+
+    cumulative = PeriodicReflect.cumulative
+
+    def holed(self, xs, x0):
+        out = cumulative(self, xs, x0)
+        if out.size > 2:  # the scan grid, not a two-point integral
+            out[out.size // 3] = math.nan
+        return out
+
+    monkeypatch.setattr(PeriodicReflect, "cumulative", holed)
+    out = tmp_path / "e.csv"
+    code = run(["extension-check", "--family", "power_pair_i", "--beta", "0.5", "--p", "3",
+                "--span", "1", "--grid-log2", "6", "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION
+    assert "type=NonFiniteCandidateError" in err and "step 2^-6" in err
+    assert not out.exists()
