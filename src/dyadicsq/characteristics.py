@@ -293,13 +293,19 @@ class _PairScan:
 
 
 def _singular_pair_max(w, sigma, p: float, span: int) -> float:
+    """max of <w><sigma>^(p-1) over the intervals of length 2^-j, j < 44, next
+    to or centred on a singular point inside the scanned range: the even
+    integers of [-span, span] for periodized densities, else 0 in [0, 1]."""
+    if hasattr(w, "cumulative"):
+        anchors, lo, hi = [c for c in range(-span, span + 1) if c % 2 == 0], -span, span
+    else:
+        anchors, lo, hi = [0], 0, 1
     best = 0.0
-    anchors = [c for c in range(-span, span + 1) if c % 2 == 0]  # singularities sit at even integers
     for c in anchors:
         for j in range(0, 44):
             h = 2.0 ** (-j)
             for a, b in ((c, c + h), (c - h, c), (c - h, c + h)):
-                if a < -span or b > span:
+                if a < lo or b > hi:
                     continue
                 best = _checked_max(best, _avg_product(w, sigma, p, a, b),
                                     f"singular probe [{a:g}, {b:g}), span {span}")

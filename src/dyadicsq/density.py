@@ -13,7 +13,12 @@ Conventions:
   shell, cached per instance and shell, plus a vectorized partial shell;
 * ``spine_averages(n_max)`` returns the averages over I_k = [0, 2^-k) and over
   the shells J_n = [2^-n, 2^-(n-1)) as extended-precision arrays, which is the
-  workhorse for all deep spine computations;
+  workhorse for all deep spine computations; without a closed form
+  (:class:`ShellwiseDensity`) the I_k averages are the geometric suffix sums
+  <g>_{I_k} = sum_{m>=1} 2^-m <g>_{J_{k+m}} of the shell averages, cut after
+  ``_SUFFIX_TAPS`` = 128 shells; the dropped tail is about 2^-128 of the sum
+  for bounded shell averages and at most about 2^-64 for averages growing like
+  2^(n/p), p > 2, as those of the direct-sum sigma*f do;
 * pointwise evaluation at exactly 0 returns the convention value 1 (it is
   irrelevant to every integral and exists for plotting only).
 """
@@ -31,9 +36,11 @@ from .dyadic import DyadicInterval
 
 LN2 = math.log(2.0)
 
-#: Number of shells kept when folding a geometric suffix sum; 2^-64 is far
-#: below extended-precision resolution.
-_SUFFIX_TAPS = 70
+#: Shells kept by the suffix fold (a power of two).  A shell average growing
+#: like 2^(n/p) weighs 2^(-m(1 - 1/p)) at tap m, so 128 taps leave at most
+#: 2^-64 for every p > 2, below extended-precision resolution; bounded or
+#: decaying averages leave 2^-128.
+_SUFFIX_TAPS = 128
 
 _LD = np.longdouble
 
@@ -110,18 +117,62 @@ class Density:
         return float(self.primitive(0.5 ** k))
 
 
+def _suffix_fold(shells):
+    """i[k] = sum_{m=1}^{T} 2^-m shells[k+m-1] for k = 0..len(shells) - T.
+
+    With shells[n-1] = <g>_{J_n} this is <g>_{I_k} cut after T = _SUFFIX_TAPS
+    shells.  log2(T) doubling passes: after the pass of stride s every entry
+    holds the first 2s taps.
+    """
+    i = shells / 2
+    s = 1
+    while s < _SUFFIX_TAPS:
+        i = i[:-s] + i[s:] * _LD(0.5) ** s
+        s *= 2
+    return i
+
+
 class ShellwiseDensity(Density):
     """A density integrated shell by shell, for want of an antiderivative.
 
-    For t in J_n, ``primitive(t)`` is the mass below 2^-n plus ``_partial``.
-    Subclasses supply ``_masses_below(ns)``, the masses of [0, 2^-n); they are
-    cached on the instance, so each shell is summed once however many points
-    it holds.
+    Subclasses supply ``_shell_avgs(n_hi)``, the extended-precision averages
+    over J_1..J_{n_hi}, and ``_partial``.  Spine averages are the suffix fold
+    of the shell averages, and the masses of [0, 2^-n) suffix sums of the
+    shell masses.  For t in J_n, ``primitive(t)`` is the mass below 2^-n plus
+    ``_partial``; those masses are cached on the instance, so each shell is
+    summed once however many points it holds.
     """
+
+    #: Deepest spine served.
+    _MAX_SPINE: float = math.inf
 
     @cached_property
     def _below(self) -> dict[int, float]:
         return {}
+
+    def spine_averages(self, n_max: int):
+        if n_max > self._MAX_SPINE:
+            raise NonIntegrableError(
+                f"{type(self).__name__}: spine depth limited to {self._MAX_SPINE}")
+        shells = self._shell_avgs(n_max + _SUFFIX_TAPS)
+        j_avg = np.empty(n_max + 1, dtype=_LD)
+        j_avg[0] = np.nan
+        j_avg[1:] = shells[:n_max]
+        return _suffix_fold(shells), j_avg
+
+    def _masses_below(self, ns):
+        """Masses of [0, 2^-n) for the shells ns: the _SUFFIX_TAPS shell masses
+        below each, summed in double, largest first.
+
+        Not the fold: depth-14 dyadic characteristics difference these masses
+        over intervals of length 2^-14, so one ulp here moves their values by
+        about 1e-12, and the values reported for the glued densities rest on
+        this summation order.
+        """
+        hi = int(ns.max()) + _SUFFIX_TAPS
+        masses = np.ldexp(self._shell_avgs(hi), -np.arange(1, hi + 1)).astype(float)
+        windows = np.lib.stride_tricks.sliding_window_view(masses, _SUFFIX_TAPS)[ns]
+        return np.cumsum(windows, axis=1)[:, -1]
 
     def primitive(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -317,15 +368,8 @@ class LogPowerPlain(ShellwiseDensity):
             out[start - n_lo : stop - n_lo + 1] = ((n + _GL_X) ** (-self.s)) @ kernel
         return out
 
-    def shell_masses_vec(self, n_lo: int, n_hi: int):
-        """Masses of J_n = 2^-n * <g>_{J_n}; underflows to 0 for n > 1074."""
-        n = np.arange(n_lo, n_hi + 1, dtype=float)
-        return self.shell_avgs_vec(n_lo, n_hi) * np.exp2(-n)
-
-    def _masses_below(self, ns):
-        # whole shells J_m, m > n; their masses decay faster than 2^-m
-        return np.array([self.shell_masses_vec(k + 1, k + _SUFFIX_TAPS).sum()
-                         for k in ns.tolist()])
+    def _shell_avgs(self, n_hi: int):
+        return _as_longdouble(self.shell_avgs_vec(1, n_hi))
 
     def _partial(self, n, t):
         # analytic within three half-lengths of [2^-n, t): 16 nodes reach rounding
@@ -341,17 +385,6 @@ class LogPowerPlain(ShellwiseDensity):
             return float(self.primitive(b))
         return quad(lambda x: _u(x) ** (-self.s), a, min(b, 1.0),
                     epsabs=0.0, epsrel=1e-12, limit=200)[0]
-
-    def spine_averages(self, n_max: int):
-        avgs = self.shell_avgs_vec(1, n_max + _SUFFIX_TAPS)
-        j_avg = np.empty(n_max + 1, dtype=_LD)
-        j_avg[0] = np.nan
-        j_avg[1:] = avgs[:n_max]
-        # <g>_{I_k} = sum_{m>=1} 2^-m <g>_{J_{k+m}}; fold a geometric kernel
-        i_avg = np.zeros(n_max + 1, dtype=_LD)
-        for m in range(1, _SUFFIX_TAPS + 1):
-            i_avg += _as_longdouble(avgs[m - 1 : m + n_max]) * _LD(0.5) ** m
-        return i_avg, j_avg
 
 
 # ---------------------------------------------------------------------------
@@ -422,47 +455,14 @@ class SignModulate(ShellwiseDensity):
         sign = np.where(pos, (-1.0) ** n, 1.0)
         return sign * self.inner.value(x)
 
-    def spine_averages(self, n_max):
-        inner_i, inner_j = self.inner.spine_averages(n_max + _SUFFIX_TAPS)
-        n = np.arange(n_max + 1)
-        j_avg = np.empty(n_max + 1, dtype=_LD)
-        j_avg[0] = np.nan
-        j_avg[1:] = ((-1.0) ** (n[1:] - 1)) * inner_j[1 : n_max + 1]
-        # <g>_{I_k} = (-1)^k * sum_{m>=1} (-1)^(m-1) 2^-m <inner>_{J_{k+m}}
-        folded = np.zeros(n_max + 1, dtype=_LD)
-        for m in range(1, _SUFFIX_TAPS + 1):
-            folded += ((-1.0) ** (m - 1) * _LD(0.5) ** m) * inner_j[m : m + n_max + 1]
-        i_avg = ((-1.0) ** n) * folded
-        return i_avg, j_avg
-
-    def _masses_below(self, ns):
-        i_avg, _ = self.spine_averages(int(ns.max()))
-        return i_avg[ns].astype(float) * np.ldexp(1.0, -ns)
+    def _shell_avgs(self, n_hi: int):
+        _, inner_j = self.inner.spine_averages(n_hi)
+        j = inner_j[1:].copy()
+        j[1::2] *= -1
+        return j
 
     def _partial(self, n, t):
         return np.where(n % 2 == 1, 1.0, -1.0) * self.inner._partial(n, t)
-
-
-@dataclass(frozen=True)
-class Restrict(Density):
-    inner: Density
-    lo: float
-    hi: float
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.lo) & (x < self.hi), self.inner.value(x), 0.0)
-
-    def primitive(self, t):
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, self.lo, self.hi)
-        return self.inner.primitive(tc) - self.inner.primitive(self.lo)
-
-    def integrate(self, a, b):
-        a2, b2 = max(a, self.lo), min(b, self.hi)
-        if a2 >= b2:
-            return 0.0
-        return self.inner.integrate(a2, b2)
 
 
 @dataclass(frozen=True)
@@ -526,13 +526,21 @@ class AffinePullback(Density):
 class PiecewiseDyadic(ShellwiseDensity):
     """A density glued shell by shell: piece(n) is supported on J_n, n >= 1."""
 
+    # a spine fold then reads only shells n <= 900 + _SUFFIX_TAPS < _MAX_SHELL,
+    # where the pieces exist
+    _MAX_SPINE = 900
+
     def __init__(self, piece_fn, name: str = "piecewise"):
         self._piece_fn = piece_fn
         self._name = name
         self._pieces: dict[int, Density] = {}
         self._masses: dict[int, float] = {}
 
-    def piece(self, n: int) -> Density:
+    def piece(self, n: int) -> Density | None:
+        """The piece on J_n; shells past _MAX_SHELL (left end 2^-n = 0 as a
+        double) are empty, their mass being below the smallest double."""
+        if n > _MAX_SHELL:
+            return None
         if n not in self._pieces:
             self._pieces[n] = self._piece_fn(n)
         return self._pieces[n]
@@ -553,28 +561,6 @@ class PiecewiseDyadic(ShellwiseDensity):
                 out[inside & (n == k)] = p.value(x[inside & (n == k)])
         return out[()]
 
-    def suffix_mass(self, k: int) -> float:
-        """Mass of I_k, by shell summation with a geometric stopping rule.
-
-        Gluings may leave whole shells empty, so stop only after several
-        consecutive negligible terms.
-        """
-        total = 0.0
-        small_run = 0
-        for n in range(k + 1, k + 4 * _SUFFIX_TAPS):
-            m = self.piece_mass(n)
-            total += m
-            if total != 0.0 and abs(m) < 1e-18 * abs(total) and n > k + 4:
-                small_run += 1
-                if small_run >= 4:
-                    break
-            else:
-                small_run = 0
-        return total
-
-    def _masses_below(self, ns):
-        return np.array([self.suffix_mass(k) for k in ns.tolist()])
-
     def _partial(self, n, t):
         # a piece lives on its shell, so its primitive is its partial mass
         out = np.zeros_like(t)
@@ -583,19 +569,9 @@ class PiecewiseDyadic(ShellwiseDensity):
                 out[n == k] = p.primitive(t[n == k])
         return out
 
-    def spine_averages(self, n_max):
-        if n_max > 900:
-            raise NonIntegrableError("glued densities support spine depth <= 900")
-        masses = np.array([self.piece_mass(n) for n in range(1, n_max + _SUFFIX_TAPS + 1)])
-        j_avg = np.empty(n_max + 1, dtype=_LD)
-        j_avg[0] = np.nan
-        scale = np.exp2(np.arange(1, n_max + _SUFFIX_TAPS + 1, dtype=float))
-        norm = _as_longdouble(masses) * _as_longdouble(scale)
-        j_avg[1:] = norm[:n_max]
-        i_avg = np.zeros(n_max + 1, dtype=_LD)
-        for m in range(1, _SUFFIX_TAPS + 1):
-            i_avg += norm[m - 1 : m + n_max] * _LD(0.5) ** m
-        return i_avg, j_avg
+    def _shell_avgs(self, n_hi: int):
+        n = np.arange(1, n_hi + 1)
+        return np.ldexp(_as_longdouble([self.piece_mass(k) for k in n.tolist()]), n)
 
     def __repr__(self):
         return f"PiecewiseDyadic({self._name})"

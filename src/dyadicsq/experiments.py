@@ -30,7 +30,6 @@ from .families import (
 from .squarefn import partial_mass_profile, spine_profile, weighted_snorm
 
 DEFAULT_J_RANGE = range(3, 9)
-DEFAULT_P_GRID = (2.5, 3.0, 4.0)
 # the sweep tail tolerance: at beta = 1 - 2^-8 the extended-precision spine
 # caps n_max near 32/(1-beta), where the certified tail sits around 1e-4
 SWEEP_TAIL_TOL = 2e-4

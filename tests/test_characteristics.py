@@ -324,3 +324,12 @@ def test_scan_nan_cumulative_raises():
     # 1/8 is also a probe point, and the probes at the singular points come first
     with pytest.raises(NonFiniteCandidateError, match="singular probe"):
         interval_scan_joint_ap(w, PeriodicReflect(Holed(0.125)), 3.0, span=2, grid_step=2.0 ** -4)
+
+
+def test_unit_interval_scan_probes_the_singular_point_at_every_span():
+    # w = x^-1/2, sigma = x^1/2: every interval (0, h) gives 2 h^-1/2 * (2/3) h^1/2
+    vals = {s: interval_scan_joint_ap(Power(1.0, -0.5), Power(1.0, 0.5), 2.0,
+                                      span=s, grid_step=2.0 ** -6).value
+            for s in (0, 1, 2)}
+    assert vals[0] == vals[1] == vals[2]
+    assert vals[0] >= 4.0 / 3.0 * (1.0 - 1e-15)

@@ -186,3 +186,13 @@ def test_nan_in_the_interval_scan_is_a_precondition_error(tmp_path, monkeypatch,
     assert code == EXIT_PRECONDITION
     assert "type=NonFiniteCandidateError" in err and "step 2^-6" in err
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # importing scipy.signal costs about 0.75 s, about the whole start-up
+    # budget of the CLI (about 0.8 s to import dyadicsq.cli)
+    import subprocess
+    import sys
+
+    code = "import dyadicsq.cli, sys; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from dyadicsq.density import (
     PeriodicReflect,
     PiecewiseDyadic,
     Power,
-    Restrict,
     Scale,
     SignModulate,
     Sum,
@@ -82,7 +82,7 @@ def test_log_power_plain_shell_mass_bracket():
 @given(st.integers(0, 400))
 def test_log_power_plain_vectorized_shells_match_integrate(n0):
     g = LogPowerPlain(0.4)
-    got = g.shell_masses_vec(n0 + 1, n0 + 1)[0]
+    got = g.shell_avgs_vec(n0 + 1, n0 + 1)[0] * 2.0 ** -(n0 + 1)
     if n0 < 40:  # quad path only resolves shells above underflow
         assert got == pytest.approx(shell_mass(g, n0 + 1), rel=1e-10)
     assert got > 0.0 or n0 > 1070
@@ -201,19 +201,11 @@ def test_log_shell_masses_match_shell_mass():
             assert logs[n] == pytest.approx(math.log(shell_mass(g, n)), rel=1e-11)
 
 
-def test_restrict():
-    g = Restrict(Constant(1.0), 0.25, 0.75)
-    assert g.integrate(0.0, 1.0) == pytest.approx(0.5, rel=1e-14)
-    assert g.integrate(0.0, 0.2) == 0.0
-    assert float(np.asarray(g.value(0.5))) == 1.0
-    assert float(np.asarray(g.value(0.1))) == 0.0
-
-
 def test_piecewise_dyadic_constant_blocks():
     g = PiecewiseDyadic(lambda n: AffinePullback(Constant(1.0), 2.0 ** -n, 2.0 ** -n))
     for n in range(1, 10):
         assert g.piece_mass(n) == pytest.approx(2.0 ** -n, rel=1e-12)
-    assert g.suffix_mass(3) == pytest.approx(2.0 ** -3, rel=1e-12)
+    assert g.primitive(2.0 ** -3) == pytest.approx(2.0 ** -3, rel=1e-12)
     assert g.integrate(0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -223,7 +215,7 @@ def test_piecewise_dyadic_suffix_mass_skips_empty_shells():
         lambda n: None if n % 2 == 0
         else AffinePullback(Constant(1.0), 2.0 ** -n, 2.0 ** -n))
     want = sum(2.0 ** -n for n in range(1, 120, 2))
-    assert g.suffix_mass(0) == pytest.approx(want, rel=1e-13)
+    assert g.primitive(1.0) == pytest.approx(want, rel=1e-13)
     assert g.integrate(0.0, 1.0) == pytest.approx(want, rel=1e-13)
 
 
@@ -346,3 +338,100 @@ def test_piecewise_dyadic_value_array_matches_scalar_calls():
     vals = g.value(xs)
     for x, v in zip(xs, vals):
         assert g.value(float(x)) == v
+
+
+def test_piecewise_dyadic_shells_past_the_last_double_are_empty():
+    from dyadicsq.families import direct_sum_family
+
+    inst = direct_sum_family(2.5)
+    assert inst.sigma_f.piece(1075) is None and inst.sigma_f.piece_mass(1075) == 0.0
+    # the mass below 2^-1000 sums shells up to 1128, past the last double 2^-1074
+    assert math.isfinite(inst.sigma_f.primitive(2.0 ** -1000))
+    assert inst.w.primitive(2.0 ** -1000) == pytest.approx(9.332636185032189e-302, rel=1e-12)
+    with pytest.raises(NonIntegrableError, match="depth limited to 900"):
+        inst.w.spine_averages(901)
+
+
+# ---------------------------------------------------------------------------
+# the suffix fold against per-tap and tail-summed references
+
+_TAPS = 128
+
+
+def _ref_shell_avgs(g, n_hi):
+    """Extended-precision averages over J_1..J_{n_hi}, shell by shell."""
+    n = np.arange(1, n_hi + 1)
+    if isinstance(g, PiecewiseDyadic):
+        return np.ldexp(np.array([g.piece_mass(k) for k in n.tolist()], dtype=np.longdouble), n)
+    if isinstance(g, LogPowerPlain):
+        return g.shell_avgs_vec(1, n_hi).astype(np.longdouble)
+    if isinstance(g, SignModulate):
+        return np.where(n % 2 == 1, 1, -1) * _ref_shell_avgs(g.inner, n_hi)
+    assert isinstance(g, Constant)
+    return np.full(n_hi, g.c, dtype=np.longdouble)
+
+
+def _per_tap_fold(shells, n_max):
+    """<g>_{I_k} = sum_{m=1}^{128} 2^-m <g>_{J_{k+m}}, k = 0..n_max, tap by tap."""
+    i_avg = np.zeros(n_max + 1, dtype=np.longdouble)
+    for m in range(1, _TAPS + 1):
+        i_avg += shells[m - 1 : m + n_max] * np.longdouble(0.5) ** m
+    return i_avg
+
+
+def _tail_summed_mass(g, k):
+    """(mass of [0, 2^-k), sum of |shell masses| summed), shell by shell down
+    from J_(k+1); empty shells in a gluing must not stop the sum early, so it
+    stops only after several consecutive negligible terms."""
+    masses = np.ldexp(_ref_shell_avgs(g, k + 4 * _TAPS), -np.arange(1, k + 4 * _TAPS + 1))
+    masses = masses.astype(float)[k:]
+    total = size = 0.0
+    small_run = 0
+    for i, m in enumerate(masses.tolist()):
+        total += m
+        size += abs(m)
+        if total != 0.0 and abs(m) < 1e-18 * abs(total) and i > 3:
+            small_run += 1
+            if small_run >= 4:
+                break
+        else:
+            small_run = 0
+    return total, size
+
+
+@functools.cache
+def _folding_densities():
+    from dyadicsq.families import direct_sum_family
+
+    # the SHELLWISE densities that fold their own shells (the pullbacks fold
+    # through their inner LogPowerPlain), plus sigma*f, whose averages grow
+    out = {name: make(3) for name, make in SHELLWISE.items()
+           if not name.startswith("pullback")}
+    for p in (2.5, 4.0):
+        out[f"direct_sum_sigma_f_{p}"] = direct_sum_family(p).sigma_f
+    return out
+
+
+_FOLDING = sorted(_folding_densities())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_FOLDING), st.integers(0, 900))
+def test_spine_averages_match_the_per_tap_fold(name, n_max):
+    g = _folding_densities()[name]
+    i_avg, j_avg = g.spine_averages(n_max)
+    shells = _ref_shell_avgs(g, n_max + _TAPS)
+    want = _per_tap_fold(shells, n_max)
+    tol = 1e-17 * np.max(np.abs(want))
+    assert np.max(np.abs(i_avg - want)) <= tol
+    assert np.array_equal(j_avg[1:], shells[:n_max])
+
+
+@pytest.mark.parametrize("name", _FOLDING)
+def test_primitive_at_powers_of_two_matches_the_tail_sum(name):
+    # both sides are double sums of up to 128 shell masses, each rounding at
+    # most 2^-53 of the sum of |shell masses| (the signed families cancel)
+    g = _folding_densities()[name]
+    for k in [*range(61), 1000]:
+        want, size = _tail_summed_mass(g, k)
+        assert abs(g.primitive(2.0 ** -k) - want) <= _TAPS * 2.0 ** -53 * size, k

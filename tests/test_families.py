@@ -117,7 +117,7 @@ def test_direct_sum_weight_shell_masses():
     inst = direct_sum_family(3.0)
     for k in range(1, 20):
         assert inst.w.piece_mass(k) == pytest.approx(2.0 ** -k, rel=1e-12)
-    assert inst.w.suffix_mass(0) == pytest.approx(1.0, rel=1e-11)
+    assert inst.w.primitive(1.0) == pytest.approx(1.0, rel=1e-11)
 
 
 def test_direct_sum_additivity_across_shell_boundaries():
