@@ -119,20 +119,15 @@ def _ainfty_full_tree(sigma: Density, depth: int) -> CharacteristicEstimate:
 
 def _ainfty_radial(sigma: Density, n_max: int, root_max: int) -> CharacteristicEstimate:
     i_avg, j_avg = sigma.spine_averages(n_max)
+    weights = np.exp2(-np.arange(1, n_max + 1, dtype=_LD))  # weights[t] = 2^-(t+1)
     best = 0.0
     for m in range(min(root_max, n_max - 2) + 1):
         # shells J_n, m < n <= n_max; spine candidates I_m..I_{n-1}
         cm = np.maximum.accumulate(i_avg[m:n_max])        # cm[t] = max I_{m..m+t}
         mvals = np.maximum(cm, j_avg[m + 1 : n_max + 1])  # aligned with n = m+1..n_max
-        weights = np.exp2(_as_ld_range(m, n_max))          # 2^(m-n)
-        ratio = float(np.sum(mvals * weights) / i_avg[m])
+        ratio = float(np.sum(mvals * weights[: n_max - m]) / i_avg[m])  # 2^(m-n)
         best = _checked_max(best, ratio, f"root I_{m}, n_max {n_max}")
     return CharacteristicEstimate(best, "a_infty", ("spine", n_max))
-
-
-def _as_ld_range(m: int, n_max: int):
-    n = np.arange(m + 1, n_max + 1)
-    return _LD(m) - np.asarray(n, dtype=_LD)
 
 
 def interval_scan_joint_ap(w, sigma, p: float, span: int, grid_step: float) -> CharacteristicEstimate:

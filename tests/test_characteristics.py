@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from dyadicsq.characteristics import (
     CharacteristicEstimate,
+    NonFiniteCandidateError,
     _cumulative_on_grid,
     _pair_scan_max,
     _singular_pair_max,
@@ -333,3 +335,69 @@ def test_unit_interval_scan_probes_the_singular_point_at_every_span():
             for s in (0, 1, 2)}
     assert vals[0] == vals[1] == vals[2]
     assert vals[0] >= 4.0 / 3.0 * (1.0 - 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the radial A_infty against a per-root reference and the x^-beta closed form
+
+
+def _per_root_radial(sigma, n_max, root_max):
+    """Radial A_infty with the weights 2^(m-n) raised afresh for every root:
+    the reference the shared weight table must reproduce bit for bit."""
+    i_avg, j_avg = sigma.spine_averages(n_max)
+    best = 0.0
+    for m in range(min(root_max, n_max - 2) + 1):
+        cm = np.maximum.accumulate(i_avg[m:n_max])
+        mvals = np.maximum(cm, j_avg[m + 1 : n_max + 1])
+        n = np.arange(m + 1, n_max + 1)
+        weights = np.exp2(np.longdouble(m) - np.asarray(n, dtype=np.longdouble))
+        best = max(best, float(np.sum(mvals * weights) / i_avg[m]))
+    return best
+
+
+@functools.cache
+def _family_weights():
+    from dyadicsq.families import alternating_family, direct_sum_family
+
+    out = {}
+    for name, inst in (("alternating", alternating_family(3.0, 0.875)),
+                       ("direct_sum", direct_sum_family(3.0))):
+        out[f"{name}_w"], out[f"{name}_sigma"] = inst.w, inst.sigma
+    return out
+
+
+_RADIAL_SIGMAS = st.one_of(
+    st.builds(Power, st.floats(0.1, 10.0), st.floats(-0.95, 2.0)),
+    st.builds(Constant, st.floats(0.1, 10.0)),
+    st.sampled_from(["alternating_w", "alternating_sigma", "direct_sum_w", "direct_sum_sigma"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_RADIAL_SIGMAS, st.integers(1, 900), st.integers(0, 40))
+def test_radial_ainfty_is_the_per_root_reference(sigma, n_max, root_max):
+    if isinstance(sigma, str):
+        sigma = _family_weights()[sigma]
+    got = dyadic_ainfty(sigma, mode="radial", n_max=n_max, root_max=root_max).value
+    assert got == _per_root_radial(sigma, n_max, root_max)
+
+
+def _power_sweep(j):
+    # x^-beta, beta = 1 - 2^-j, swept to n_max = 16 * 2^j: the dropped tail
+    # is 2^-((1 - beta) n_max) = 2^-16 of the scale-invariant 1/(2 - 2^beta)
+    beta = 1.0 - 2.0 ** -j
+    got = dyadic_ainfty(Power(1.0, -beta), mode="radial", n_max=16 * 2 ** j).value
+    assert got == pytest.approx((1.0 - 2.0 ** -16) / (2.0 - 2.0 ** beta), rel=1e-12)
+
+
+@pytest.mark.parametrize("j", range(3, 11))
+def test_radial_ainfty_of_a_power_is_the_closed_form(j):
+    _power_sweep(j)
+
+
+@pytest.mark.xfail(strict=True, raises=NonFiniteCandidateError,
+                   reason="Power.spine_averages overflows longdouble from j = 11")
+@pytest.mark.parametrize("j", range(11, 15))
+def test_radial_ainfty_of_a_power_past_the_overflow(j):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _power_sweep(j)

@@ -306,21 +306,35 @@ def test_primitive_caches_are_per_instance():
         assert a._below is not b._below and a._below != b._below
 
 
-def test_primitive_builds_spine_averages_once_per_call(monkeypatch):
+def _count_calls(monkeypatch, method, classes=(SignModulate, LogPowerPlain)):
+    """Calls of ``method`` per instance, counted on the given classes."""
     from collections import Counter
 
     calls = Counter()
-    for cls in (SignModulate, LogPowerPlain):
-        original = cls.spine_averages
+    for cls in classes:
+        original = getattr(cls, method)
 
-        def counted(self, n_max, _original=original):
+        def counted(self, n, _original=original):
             calls[id(self)] += 1
-            return _original(self, n_max)
+            return _original(self, n)
 
-        monkeypatch.setattr(cls, "spine_averages", counted)
+        monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+def test_primitive_builds_shell_averages_once_per_call(monkeypatch):
+    calls = _count_calls(monkeypatch, "_shell_avgs")
     g = SignModulate(LogPowerPlain(0.4))
     g.primitive(np.arange(4097) / 4096.0)
-    assert calls and max(calls.values()) <= 1
+    assert set(calls) == {id(g), id(g.inner)} and max(calls.values()) <= 1
+
+
+def test_sign_modulate_spine_folds_once(monkeypatch):
+    # the signed shells come straight from the inner shells, not from an
+    # inner spine whose fold would be dropped
+    calls = _count_calls(monkeypatch, "spine_averages", (LogPowerPlain,))
+    SignModulate(LogPowerPlain(0.4)).spine_averages(1000)
+    assert not calls
 
 
 def test_sign_modulate_primitive_at_deep_points():
@@ -435,3 +449,47 @@ def test_primitive_at_powers_of_two_matches_the_tail_sum(name):
     for k in [*range(61), 1000]:
         want, size = _tail_summed_mass(g, k)
         assert abs(g.primitive(2.0 ** -k) - want) <= _TAPS * 2.0 ** -53 * size, k
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre shells, node by node below 1024 and as a series from there
+
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+
+
+def _gl_shell_avg(s, n):
+    """<(1 - log2 x)^-s>_{J_n} = ln2 int_0^1 2^(1-tau) (n + tau)^-s dtau by the
+    16-node Gauss-Legendre rule, one shell at a time, summed exactly."""
+    return math.fsum(LN2 * 2.0 ** (1.0 - x) * w * (n + x) ** -s
+                     for x, w in zip((_GL16_X + 1.0) / 2.0, _GL16_W / 2.0))
+
+
+_SERIES_SHELLS = [1, 2, 3, 10, 30, 100, 300, 1023, 1024, 1025, *(2 ** k for k in range(11, 21)),
+                  10 ** 6 + 128]
+
+
+@functools.cache
+def _shells_to_2_20(s):
+    return LogPowerPlain(s).shell_avgs_vec(1, 2 ** 20)
+
+
+def _ulps_off(got, want):
+    return abs(got - want) / np.spacing(want)
+
+
+@pytest.mark.parametrize("s", [0.26, 0.4, 0.49, 2.0])
+def test_shell_averages_match_the_node_by_node_rule(s):
+    g = LogPowerPlain(s)
+    for n in _SERIES_SHELLS:
+        want = _gl_shell_avg(s, n)
+        assert _ulps_off(_shells_to_2_20(s)[n - 1], want) <= 4, n
+        assert _ulps_off(g.shell_avgs_vec(n, n)[0], want) <= 4, n
+    # a range that straddles the split
+    for n, got in enumerate(g.shell_avgs_vec(1000, 1100).tolist(), 1000):
+        assert _ulps_off(got, _gl_shell_avg(s, n)) <= 4, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.26, 0.4, 0.49, 2.0]), st.integers(1024, 10 ** 6 + 128))
+def test_series_shells_match_the_node_by_node_rule(s, n):
+    assert _ulps_off(_shells_to_2_20(s)[n - 1], _gl_shell_avg(s, n)) <= 4
