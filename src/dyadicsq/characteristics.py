@@ -141,27 +141,48 @@ def interval_scan_joint_ap(w, sigma, p: float, span: int, grid_step: float) -> C
     ``w`` and ``sigma`` must expose ``cumulative(xs, x0)`` (PeriodicReflect) or
     be [0,1)-supported densities scanned on [0, 1] only.
     """
+    return interval_scans_joint_ap(w, sigma, p, (span,), grid_step)[0]
+
+
+def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list[CharacteristicEstimate]:
+    """``interval_scan_joint_ap`` at each of the increasing ``spans``, bit for bit.
+
+    One cumulative pass on the largest span S serves each span s with S - s
+    even: the grids -S + h i and -s + h i differ by a whole number of periods,
+    so the pass's first 2s/h + 1 floats are that span's own.  Each such scan
+    starts from the previous one's maximum and skips the blocks whose right
+    ends all lie in the previous prefix, pairs it evaluated with the same
+    arithmetic.  For odd S - s the shift is a reflection, not a period, and
+    the span gets a pass of its own.  One probe set serves every span.
+    """
     if p <= 1.0:
         raise ValueError("p must be > 1")
     if grid_step <= 0 or 2.0 ** round(math.log2(grid_step)) != grid_step:
         raise ValueError("grid step must be a (negative) power of 2")
-    xs, cw = _cumulative_on_grid(w, span, grid_step)
-    _, cs = _cumulative_on_grid(sigma, span, grid_step)
+    periodic = hasattr(w, "cumulative")
     # period-2 pairs: any interval translates by an even integer to one with
     # left endpoint in the first period, with identical cumulative increments
-    n_rows = int(round(2.0 / grid_step)) if hasattr(w, "cumulative") else None
-    best = _pair_scan_max(xs, cw, cs, p, n_rows, floor=_singular_pair_max(w, sigma, p, span))
-    return CharacteristicEstimate(best, "joint_ap", ("scan", grid_step, span), p)
+    n_rows = int(round(2.0 / grid_step)) if periodic else None
+    shared, best, settled, out = _cumulative_on_grid(w, sigma, spans[-1], grid_step), 0.0, 0, []
+    for span, singular in zip(spans, _singular_pair_maxima(w, sigma, p, spans)):
+        if periodic and (spans[-1] - span) % 2:
+            value = _pair_scan_max(*_cumulative_on_grid(w, sigma, span, grid_step), p, n_rows, singular)
+        else:
+            end = int(round(2 * span / grid_step)) + 1 if periodic else shared[0].size
+            best = value = _pair_scan_max(*(a[:end] for a in shared), p, n_rows, max(best, singular),
+                                          settled)
+            settled = end - 1
+        out.append(CharacteristicEstimate(value, "joint_ap", ("scan", grid_step, span), p))
+    return out
 
 
-def _cumulative_on_grid(g, span: int, h: float):
-    if hasattr(g, "cumulative"):
-        n = int(round(2 * span / h))
-        xs = -span + h * np.arange(n + 1)
-        return xs, np.asarray(g.cumulative(xs, -span), dtype=float)
-    n = int(round(1.0 / h))
-    xs = h * np.arange(n + 1)
-    return xs, np.asarray(g.primitive(xs), dtype=float)
+def _cumulative_on_grid(w, sigma, span: int, h: float):
+    """The scan grid and the cumulatives of w and sigma on it."""
+    if hasattr(w, "cumulative"):
+        xs = -span + h * np.arange(int(round(2 * span / h)) + 1)
+        return xs, *(np.asarray(g.cumulative(xs, -span), dtype=float) for g in (w, sigma))
+    xs = h * np.arange(int(round(1.0 / h)) + 1)
+    return xs, *(np.asarray(g.primitive(xs), dtype=float) for g in (w, sigma))
 
 
 # Block sides (rows and lags) of the scan's branch-and-bound: coarse blocks
@@ -188,7 +209,8 @@ def _pow_q(x: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray
     return np.power(x, q, out=out)
 
 
-def _pair_scan_max(xs, cw, cs, p: float, n_rows: int | None = None, floor: float = 0.0) -> float:
+def _pair_scan_max(xs, cw, cs, p: float, n_rows: int | None = None, floor: float = 0.0,
+                   settled: int = 0) -> float:
     """max(floor, max over grid pairs i < i + lag of <w><sigma>^(p-1)).
 
     Each pair's value is computed exactly as ``dw * ds^(p-1)`` with the lag's
@@ -199,14 +221,15 @@ def _pair_scan_max(xs, cw, cs, p: float, n_rows: int | None = None, floor: float
     products of those envelope increments (floating point rounding is
     monotone, and pow gets a relative slack) bound every value in the block,
     also where the computed cumulative steps down at rounding level.  Blocks
-    whose bound does not beat the best value so far are skipped.
+    whose bound does not beat the best value so far are skipped, and so are
+    those whose right ends are all <= ``settled``, known to be below floor.
     """
     h = float(xs[1] - xs[0])
     if not (np.isfinite(cw).all() and np.isfinite(cs).all()):
         raise NonFiniteCandidateError(
             f"non-finite cumulative on the scan grid [{xs[0]:g}, {xs[-1]:g}], "
             f"step 2^{round(math.log2(h))}")
-    scan = _PairScan(cw, cs, h, p, n_rows)
+    scan = _PairScan(cw, cs, h, p, n_rows, settled)
     n = cw.size
     # the divisor (h*lag)^p at the first lag of each block: it grows with the
     # lag up to pow's rounding, which _SLACK covers
@@ -246,8 +269,8 @@ def _envelopes(c):
 class _PairScan:
     """The arrays one interval scan bounds and evaluates its pairs with."""
 
-    def __init__(self, cw, cs, h: float, p: float, n_rows: int | None):
-        self.cw, self.cs, self.h, self.p = cw, cs, h, p
+    def __init__(self, cw, cs, h: float, p: float, n_rows: int | None, settled: int):
+        self.cw, self.cs, self.h, self.p, self.settled = cw, cs, h, p, settled
         self.rows = cw.size - 1 if n_rows is None else min(n_rows, cw.size - 1)
         self.envelopes = _envelopes(cw), _envelopes(cs)
         # right ends past the grid are padded so that their pair values come
@@ -259,7 +282,7 @@ class _PairScan:
         self.buf = np.empty((2, _FINE * _COARSE))
 
     def bounds(self, r0, r1, l0, l1, div_first):
-        """(rows x lags) grid of block bounds; -inf where a block holds no pair."""
+        """(rows x lags) grid of block bounds; -inf where no pair is unsettled."""
         last = self.cw.size - 1
         top = np.minimum(r1[:, None] + l1, last)
         (lo_w, hi_w), (lo_s, hi_s) = self.envelopes
@@ -267,7 +290,7 @@ class _PairScan:
         ds = hi_s[top] - lo_s[r0][:, None]
         b = _pow_q(ds, self.p - 1.0) * dw / div_first * _SLACK
         b[np.isnan(b)] = np.inf  # 0 * inf: evaluate, and let the NaN raise
-        b[r0[:, None] + l0 > last] = -np.inf
+        b[(r0[:, None] + l0 > last) | (r1[:, None] + l1 <= self.settled)] = -np.inf
         return b
 
     def exact_max(self, row_range, lag_range, best: float) -> float:
@@ -287,26 +310,24 @@ class _PairScan:
                             f"rows {ra}..{rb - 1}, lags {la}..{lb - 1} of the interval scan")
 
 
-def _singular_pair_max(w, sigma, p: float, span: int) -> float:
-    """max of <w><sigma>^(p-1) over the intervals of length 2^-j, j < 44, next
-    to or centred on a singular point inside the scanned range: the even
-    integers of [-span, span] for periodized densities, else 0 in [0, 1]."""
-    if hasattr(w, "cumulative"):
-        anchors, lo, hi = [c for c in range(-span, span + 1) if c % 2 == 0], -span, span
-    else:
-        anchors, lo, hi = [0], 0, 1
-    best = 0.0
-    for c in anchors:
-        for j in range(0, 44):
-            h = 2.0 ** (-j)
-            for a, b in ((c, c + h), (c - h, c), (c - h, c + h)):
-                if a < lo or b > hi:
-                    continue
-                best = _checked_max(best, _avg_product(w, sigma, p, a, b),
-                                    f"singular probe [{a:g}, {b:g}), span {span}")
-    return best
-
-
-def _avg_product(w, sigma, p: float, a: float, b: float) -> float:
-    length = b - a
-    return (w.integrate(a, b) / length) * (sigma.integrate(a, b) / length) ** (p - 1.0)
+def _singular_pair_maxima(w, sigma, p: float, spans) -> list[float]:
+    """For each span, the max of <w><sigma>^(p-1) over the intervals of length
+    2^-j, j < 44, next to or centred on a singular point inside the scanned
+    range: the even integers of [-span, span] for periodized densities, else 0
+    in [0, 1].  The probes of the largest span are evaluated once (vectorized
+    through ``PeriodicReflect.masses``), and each span takes those in range."""
+    periodic = hasattr(w, "cumulative")
+    ranges = [(-s, s) if periodic else (0, 1) for s in spans]
+    lo, hi = ranges[-1]
+    probes = [(a, b) for c in range(lo + lo % 2, hi + 1, 2) for h in [2.0 ** -j for j in range(44)]
+              for a, b in ((c, c + h), (c - h, c), (c - h, c + h)) if lo <= a and b <= hi]
+    a, b = (np.array(x, dtype=float) for x in zip(*probes))
+    mw, ms = ((g.masses(a, b) if periodic else np.array([g.integrate(*ab) for ab in probes]))
+              for g in (w, sigma))
+    # Python floats: numpy's power is not float.__pow__ to the last bit
+    vals = [x / n * (y / n) ** (p - 1.0) for x, y, n in zip(mw.tolist(), ms.tolist(), (b - a).tolist())]
+    if nan := next(((x, y) for v, (x, y) in zip(vals, probes) if math.isnan(v)), None):
+        raise NonFiniteCandidateError(f"NaN candidate at singular probe [{nan[0]:g}, {nan[1]:g}), "
+                                      f"span {spans[-1]}")
+    return [max([0.0] + [v for v, (x, y) in zip(vals, probes) if lo <= x and y <= hi])
+            for lo, hi in ranges]

@@ -502,6 +502,10 @@ class AffinePullback(Density):
     The image of the inner support (0, 1) is [offset, offset + scale) in the
     forward case and (offset - scale, offset] reflected; masses over the image
     are exactly scale times the inner masses (no Jacobian compensation).
+    Reflected, ``primitive`` resolves small masses near the far end of the
+    image (inner u near 1) only to the rounding of the inner's total mass:
+    LogPowerPlain reflected onto (0, 1] gives [1.37 2^-30, 2^-29) 1.8e-7
+    relative off.  No family reflects a density without a closed form.
     """
 
     inner: Density
@@ -633,9 +637,9 @@ class PeriodicReflect(Density):
     def unit_mass(self) -> float:
         return float(self.inner.primitive(1.0))
 
-    def cumulative(self, xs, x0: float):
-        """Vectorized mass of [x0, x) for an integer anchor x0 <= min(xs)."""
-        if x0 != math.floor(x0):
+    def cumulative(self, xs, x0):
+        """Vectorized mass of [x0, x) for an integer anchor x0 <= min(xs), or one per point."""
+        if np.any(np.floor(x0) != x0):
             raise ValueError("anchor must be an integer")
         xs = np.asarray(xs, dtype=float)
         m = np.floor(xs)
@@ -645,12 +649,17 @@ class PeriodicReflect(Density):
         partial = np.where(fwd, f01, self.unit_mass - f01)
         return (m - x0) * self.unit_mass + partial
 
-    def integrate(self, a, b):
-        if a >= b:
+    def masses(self, a, b):
+        """Masses of the intervals [a_i, b_i), each taken from the anchor
+        floor(a_i): one ``cumulative`` call on the points a followed by b."""
+        a, b = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
+        if (a >= b).any():
             raise ValueError("empty interval")
-        anchor = math.floor(a)
-        lo, hi = self.cumulative(np.array([a, b]), anchor)
-        return float(hi - lo)
+        c = self.cumulative(np.concatenate([a, b]), np.floor(np.concatenate([a, a])))
+        return c[a.size :] - c[: a.size]
+
+    def integrate(self, a, b):
+        return float(self.masses(a, b)[0])
 
 
 # ---------------------------------------------------------------------------

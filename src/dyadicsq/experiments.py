@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import zeta as _zeta_fn
 
-from .characteristics import dyadic_ainfty, dyadic_joint_ap, interval_scan_joint_ap, spine_joint_ap
+from .characteristics import dyadic_ainfty, dyadic_joint_ap, interval_scans_joint_ap, spine_joint_ap
 from .density import LN2, Constant, LogPowerPlain, Power, SignModulate
 from .families import (
     FamilyInstance,
@@ -284,13 +284,13 @@ _EXTENSION_FAMILIES = {
 def extension_experiment(family: str, p: float, span: int = 4,
                          grid_step: float = 2.0 ** -12, **params) -> dict:
     """Periodize a unit-interval pair to the line and scan the joint A_p
-    characteristic at spans `span` and `2 * span`."""
+    characteristic at spans `span` and `2 * span` (one shared pass for even
+    spans, see ``interval_scans_joint_ap``)."""
     if family not in _EXTENSION_FAMILIES:
         raise ValueError(f"family must be one of {sorted(_EXTENSION_FAMILIES)}")
     inst = _EXTENSION_FAMILIES[family](p, **params)
     ext = extend_to_line(inst)
-    scan1 = interval_scan_joint_ap(ext.w, ext.sigma, p, span, grid_step)
-    scan2 = interval_scan_joint_ap(ext.w, ext.sigma, p, 2 * span, grid_step)
+    scan1, scan2 = interval_scans_joint_ap(ext.w, ext.sigma, p, (span, 2 * span), grid_step)
     unit = dyadic_joint_ap(inst.w, inst.sigma, p, depth=12)
     return {
         "family": family,

@@ -29,6 +29,7 @@ class SpineProfile:
 
     d_left[k]  = value of Delta_{I_k} g on I_{k+1}  (k = 0..n_max-1)
     d_right[k] = value of Delta_{I_k} g on J_{k+1}
+    left_squares[k] = sum_{j<k} d_left[j]^2  (k = 0..n_max), in extended precision
     s[n]       = square-function lower bound on the shell J_n (n = 1..n_max),
                  using the ancestors I_0..I_{n-1} only.
     """
@@ -38,13 +39,8 @@ class SpineProfile:
     j_avg: np.ndarray
     d_left: np.ndarray
     d_right: np.ndarray
+    left_squares: np.ndarray
     s: np.ndarray
-
-    def cumulative_left_squares(self) -> np.ndarray:
-        """prefix sums of d_left^2; entry k is sum over j < k."""
-        out = np.zeros(self.n_max + 1, dtype=_LD)
-        np.cumsum(self.d_left * self.d_left, out=out[1:])
-        return out
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ def spine_profile(g: Density, n_max: int) -> SpineProfile:
     s[0] = np.nan
     # on J_n the ancestors I_0..I_{n-2} act through d_left, I_{n-1} through d_right
     s[1:] = np.sqrt(cum[:-1] + d_right * d_right)
-    return SpineProfile(n_max, i_avg, j_avg, d_left, d_right, s)
+    return SpineProfile(n_max, i_avg, j_avg, d_left, d_right, cum, s)
 
 
 def level_averages(g: Density, depth: int) -> list[np.ndarray]:
@@ -180,13 +176,12 @@ def partial_mass_profile(prof: SpineProfile, w: Density, p: float, ks) -> np.nda
     ks = np.atleast_1d(np.asarray(ks, dtype=int))
     if ks.max() > prof.n_max:
         raise ValueError("k beyond the computed spine depth")
-    cum = prof.cumulative_left_squares()
     out = np.empty(ks.size)
     for i, k in enumerate(ks):
         if k == 0:
             out[i] = 0.0
             continue
-        out[i] = float(cum[k] ** (p / 2.0)) * w.spine_mass(int(k))
+        out[i] = float(prof.left_squares[k] ** (p / 2.0)) * w.spine_mass(int(k))
     return out
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -11,10 +12,11 @@ from dyadicsq.characteristics import (
     NonFiniteCandidateError,
     _cumulative_on_grid,
     _pair_scan_max,
-    _singular_pair_max,
+    _singular_pair_maxima,
     dyadic_ainfty,
     dyadic_joint_ap,
     interval_scan_joint_ap,
+    interval_scans_joint_ap,
     muckenhoupt_ap,
     spine_joint_ap,
     spine_joint_ap_values,
@@ -209,9 +211,30 @@ _SCAN_PS = st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0])
 _HEIGHTS = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=16)
 
 
+def _avg_product(w, sigma, p, a, b):
+    length = b - a
+    return (w.integrate(a, b) / length) * (sigma.integrate(a, b) / length) ** (p - 1.0)
+
+
+def _singular_pair_max(w, sigma, p, span):
+    """The singular probes one scalar ``integrate`` pair at a time: the
+    reference the vectorized probe set must reproduce bit for bit."""
+    if hasattr(w, "cumulative"):
+        anchors, lo, hi = [c for c in range(-span, span + 1) if c % 2 == 0], -span, span
+    else:
+        anchors, lo, hi = [0], 0, 1
+    best = 0.0
+    for c in anchors:
+        for j in range(0, 44):
+            h = 2.0 ** (-j)
+            for a, b in ((c, c + h), (c - h, c), (c - h, c + h)):
+                if lo <= a and b <= hi:
+                    best = max(best, _avg_product(w, sigma, p, a, b))
+    return best
+
+
 def _scan_parts(w, sigma, p, span, step):
-    xs, cw = _cumulative_on_grid(w, span, step)
-    _, cs = _cumulative_on_grid(sigma, span, step)
+    xs, cw, cs = _cumulative_on_grid(w, sigma, span, step)
     n_rows = int(round(2.0 / step)) if hasattr(w, "cumulative") else None
     return xs, cw, cs, n_rows, _singular_pair_max(w, sigma, p, span)
 
@@ -284,6 +307,19 @@ def test_scan_floor_above_every_grid_value():
     assert _pair_scan_max(xs, cw, cs, 2.5, floor=2.0 * brute) == 2.0 * brute
 
 
+@settings(max_examples=25, deadline=None)
+@given(_HEIGHTS, _HEIGHTS, _SCAN_PS, st.integers(1, 256))
+def test_scan_with_settled_pairs_below_the_floor(hw, hs, p, settled):
+    # the pairs with right end <= settled are those of the prefix grid; with
+    # their maximum as floor, skipping them leaves the brute-force maximum
+    xs = np.linspace(0.0, 1.0, 257)
+    cw, cs = _Steps(hw).primitive(xs), _Steps(hs).primitive(xs)
+    end = settled + 1
+    floor = _brute_force_scan(xs[:end], cw[:end], cs[:end], p)
+    assert _pair_scan_max(xs, cw, cs, p, floor=floor, settled=settled) == \
+        max(_brute_force_scan(xs, cw, cs, p), floor)
+
+
 def test_scan_prunes_most_pairs(monkeypatch):
     # a silent fall back to evaluating every pair must fail here, not only
     # in the benchmark: 0.22 of the grid pairs are evaluated at this size
@@ -335,6 +371,171 @@ def test_unit_interval_scan_probes_the_singular_point_at_every_span():
             for s in (0, 1, 2)}
     assert vals[0] == vals[1] == vals[2]
     assert vals[0] >= 4.0 / 3.0 * (1.0 - 1e-15)
+    shared = interval_scans_joint_ap(Power(1.0, -0.5), Power(1.0, 0.5), 2.0, (0, 1, 2), 2.0 ** -6)
+    assert [e.value for e in shared] == [vals[s] for s in (0, 1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the span and 2*span scans of extension-check from one pass, and the
+# vectorized singular probes
+
+
+_ALL_PS = (1.5, 2.0, 2.5, 3.0, 4.0)
+_FAMILY_PS = {"lai_treil": (2.5, 3.0, 4.0), "power_pair_i": _ALL_PS, "power_pair_ii": _ALL_PS,
+              "direct_sum": (2.5, 3.0, 4.0), "constant": _ALL_PS}
+
+
+@functools.cache
+def _extended(family, p):
+    from dyadicsq.experiments import _EXTENSION_FAMILIES
+    from dyadicsq.families import extend_to_line
+
+    return extend_to_line(_EXTENSION_FAMILIES[family](p))
+
+
+# the constant pair cannot be pruned (every candidate ties), so one grid only
+_SHARED_CASES = [(f, p, span, k) for f, ps in _FAMILY_PS.items() for p in ps
+                 for span in (1, 2, 3, 4) for k in ((8,) if f == "constant" else (8, 10))]
+
+
+@pytest.mark.parametrize("family, p, span, k", _SHARED_CASES)
+def test_shared_scans_are_two_independent_scans(family, p, span, k):
+    ext = _extended(family, p)
+    got = interval_scans_joint_ap(ext.w, ext.sigma, p, (span, 2 * span), 2.0 ** -k)
+    want = [interval_scan_joint_ap(ext.w, ext.sigma, p, s, 2.0 ** -k) for s in (span, 2 * span)]
+    assert [e.value for e in got] == [e.value for e in want]
+    assert got == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(_HEIGHTS, _HEIGHTS, _SCAN_PS, st.sets(st.integers(1, 4), min_size=1), st.integers(4, 7))
+def test_shared_scans_of_any_spans_are_the_single_scans(hw, hs, p, spans, k):
+    w, sigma = PeriodicReflect(_Steps(hw)), PeriodicReflect(_Steps(hs))
+    spans = sorted(spans)
+    got = interval_scans_joint_ap(w, sigma, p, spans, 2.0 ** -k)
+    assert got == [interval_scan_joint_ap(w, sigma, p, s, 2.0 ** -k) for s in spans]
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["lai_treil", "power_pair_i", "power_pair_ii", "direct_sum"])
+def test_even_span_pass_is_a_prefix_of_the_doubled_pass(family, span):
+    # the grids -2s + h i and -s + h i differ by s: whole periods for even s,
+    # a reflection for odd s
+    ext = _extended(family, 3.0)
+    small = _cumulative_on_grid(ext.w, ext.sigma, span, 2.0 ** -8)
+    big = _cumulative_on_grid(ext.w, ext.sigma, 2 * span, 2.0 ** -8)
+    end = small[0].size
+    same = [np.array_equal(c, d[:end]) for c, d in zip(small[1:], big[1:])]
+    assert same == [span % 2 == 0] * 2
+
+
+def _two_point_mass(g, a, b):
+    """A periodized mass as one two-point cumulative from floor(a)."""
+    lo, hi = g.cumulative(np.array([a, b]), math.floor(a))
+    return float(hi - lo)
+
+
+_POINTS = st.one_of(st.floats(-8.0, 8.0), st.integers(-8, 8).map(float))
+_INTERVALS = st.one_of(
+    st.tuples(_POINTS, _POINTS),
+    # short intervals next to or straddling an integer
+    st.builds(lambda n, j, u, v: (n - u * 2.0 ** -j, n + v * 2.0 ** -j),
+              st.integers(-7, 7), st.integers(0, 43), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+).filter(lambda ab: ab[0] < ab[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["lai_treil", "power_pair_i", "direct_sum"]),
+       st.lists(_INTERVALS, min_size=1, max_size=24))
+def test_masses_are_integrate_to_the_bit(family, intervals):
+    ext = _extended(family, 3.0)
+    a, b = (np.array(x) for x in zip(*intervals))
+    for g in (ext.w, ext.sigma):
+        got = g.masses(a, b).tolist()
+        assert got == [g.integrate(x, y) for x, y in intervals]
+        assert got == [_two_point_mass(g, x, y) for x, y in intervals]
+
+
+def test_masses_reject_empty_intervals():
+    g = PeriodicReflect(Constant(1.0))
+    with pytest.raises(ValueError, match="empty interval"):
+        g.masses([0.0, 1.0], [0.5, 1.0])
+    with pytest.raises(ValueError, match="empty interval"):
+        g.integrate(2.0, -1.0)
+
+
+@pytest.mark.parametrize("family, p", [(f, p) for f, ps in _FAMILY_PS.items() for p in ps])
+def test_vectorized_probes_are_the_scalar_probes(family, p):
+    ext = _extended(family, p)
+    for span in (1, 3, 4):
+        assert _singular_pair_maxima(ext.w, ext.sigma, p, (span, 2 * span)) == \
+            [_singular_pair_max(ext.w, ext.sigma, p, s) for s in (span, 2 * span)]
+
+
+@pytest.mark.parametrize("c, p", [(7.0, 2.5), (10.0, 3.5), (2.5, 3.5), (3.0, 3.0)])
+def test_probe_product_is_the_float_power(c, p):
+    # every probe of this pair averages 1 and c exactly, so each maximum is
+    # the Python float c ** (p - 1); numpy's power can differ from it in the
+    # last bit at some of these (c, p)
+    w, sigma = PeriodicReflect(Constant(1.0)), PeriodicReflect(Constant(c))
+    assert _singular_pair_maxima(w, sigma, p, (1, 2, 4)) == [c ** (p - 1.0)] * 3
+
+
+class _Spiked(PeriodicReflect):
+    """A periodized density plus unit mass on [at - 2^-30, at + 2^-30): not
+    periodic, so only the probes of a span reaching ``at`` see the spike."""
+
+    def __init__(self, inner, at):
+        super().__init__(inner)
+        self.at = at
+
+    def cumulative(self, xs, x0):
+        def ramp(x):
+            return np.clip((np.asarray(x, dtype=float) - self.at) * 2.0 ** 29 + 0.5, 0.0, 1.0)
+
+        return super().cumulative(xs, x0) + ramp(xs) - ramp(x0)
+
+
+def test_doubled_scan_starts_from_the_doubled_probes():
+    # the probes at 6 average about 2^29, grid intervals at most 2^8
+    w, sigma, step = _Spiked(Constant(1.0), 6.0), PeriodicReflect(Constant(1.0)), 2.0 ** -8
+    single, doubled = interval_scans_joint_ap(w, sigma, 2.0, (4, 8), step)
+    assert single.value < 2.0 ** 9
+    assert doubled.value == interval_scan_joint_ap(w, sigma, 2.0, 8, step).value >= 2.0 ** 28
+
+
+@pytest.mark.parametrize("family", ["lai_treil", "power_pair_i"])
+def test_doubled_scan_skips_the_settled_pairs(monkeypatch, family):
+    import dyadicsq.characteristics as ch
+
+    evaluated = collections.Counter()  # exact pairs by grid size
+    exact_max = ch._PairScan.exact_max
+
+    def counting(self, row_range, lag_range, best):
+        evaluated[self.cw.size] += (row_range[1] - row_range[0]) * (lag_range[1] - lag_range[0])
+        return exact_max(self, row_range, lag_range, best)
+
+    monkeypatch.setattr(ch._PairScan, "exact_max", counting)
+    ext = _extended(family, 3.0)
+    interval_scans_joint_ap(ext.w, ext.sigma, 3.0, (4, 8), 2.0 ** -10)
+    single, doubled = evaluated[8 * 2 ** 10 + 1], evaluated[16 * 2 ** 10 + 1]
+    assert single > 0 and doubled <= single / 10
+
+
+def test_extension_experiment_makes_no_scalar_integrate_call(monkeypatch):
+    from dyadicsq.experiments import extension_experiment
+
+    calls = []
+    integrate = PeriodicReflect.integrate
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return integrate(self, a, b)
+
+    monkeypatch.setattr(PeriodicReflect, "integrate", counting)
+    out = extension_experiment("lai_treil", 3.0, span=2, grid_step=2.0 ** -8)
+    assert calls == []
+    assert out["scan_max_doubled"] >= out["scan_max"] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,19 @@ def test_partial_mass_monotone_and_positive():
     m = partial_mass_profile(prof, w, p, ks)
     assert np.all(m > 0)
     assert np.all(np.diff(m) > 0)  # grows like k^((1-2r)(p/2-1))
+
+
+def test_partial_mass_profile_uses_the_left_squares_of_the_profile():
+    # the prefix sums spine_profile keeps are the ones partial_mass_profile
+    # used to rebuild from d_left, so its output is unchanged to the bit
+    from dyadicsq.density import LogPowerOverX
+    p, r = 3.0, 0.4
+    w = LogPowerOverX(1.0, 2.0 - 2.0 * r)
+    prof = spine_profile(SignModulate(LogPowerPlain(r)), 5000)
+    rebuilt = np.zeros(prof.n_max + 1, dtype=np.longdouble)
+    np.cumsum(prof.d_left * prof.d_left, out=rebuilt[1:])
+    assert np.array_equal(prof.left_squares, rebuilt)
+    ks = np.unique(np.geomspace(1, 5000, 60).astype(int))
+    ks = np.concatenate([[0], ks])
+    want = [0.0 if k == 0 else float(rebuilt[k] ** (p / 2.0)) * w.spine_mass(int(k)) for k in ks]
+    assert partial_mass_profile(prof, w, p, ks).tolist() == want
