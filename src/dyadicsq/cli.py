@@ -1,7 +1,8 @@
 """Command-line front end: experiment dispatch and CSV emission.
 
 Exit codes: 0 success, 2 usage error, 3 parameter/precondition failure,
-4 uncertified series tail, 5 I/O failure.  Failures also print a single
+4 uncertified series tail, 5 I/O failure, 6 internal check failed (a failed
+closed-form verification, which is a bug).  Failures also print a single
 machine-readable line ``# error code=N type=T message="..."`` to stderr.
 """
 
@@ -40,6 +41,7 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_UNCERTIFIED = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
 
 OUTDIR_ENV = "DYADICSQ_OUTDIR"
 
@@ -297,8 +299,10 @@ def run(argv=None) -> int:
         args.fn(args)
     except TailNotCertifiedError as e:
         return _fail(EXIT_UNCERTIFIED, e)
-    except (ValueError, NonIntegrableError, ExtensionHypothesisError, AssertionError) as e:
+    except (ValueError, NonIntegrableError, ExtensionHypothesisError) as e:
         return _fail(EXIT_PRECONDITION, e)
+    except AssertionError as e:  # a failed internal check (closed-form verification): a bug
+        return _fail(EXIT_INTERNAL, e)
     except OSError as e:
         return _fail(EXIT_IO, e)
     return EXIT_OK

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dyadic import DyadicInterval
 
@@ -382,11 +381,12 @@ class LogPowerPlain(ShellwiseDensity):
         <g>_{J_n} = ln2 * int_0^1 2^(1-tau) (n + tau)^(-s) dtau, a smooth
         integrand handled to machine precision by fixed-order Gauss-Legendre:
         node by node below _SERIES_FROM, and from there as the rule's series
-        n^-s sum_k c_k n^-k, one power per shell and Horner in 1/n.
+        n^-s sum_k c_k n^-k, one power per shell and Horner in 1/n.  Each
+        shell's value is independent of the range [n_lo, n_hi] asked for.
         """
         mid = min(max(n_lo, _SERIES_FROM), n_hi + 1)
         n = np.arange(n_lo, mid, dtype=float)[:, None]
-        head = ((n + _GL_X) ** (-self.s)) @ _GL_KERNEL
+        head = ((n + _GL_X) ** (-self.s) * _GL_KERNEL).sum(axis=-1)  # rowwise: no BLAS blocking
         n = np.arange(mid, n_hi + 1, dtype=float)
         binom = np.cumprod([1.0] + [(-self.s - k) / (k + 1) for k in range(_SERIES_TERMS - 1)])
         coef = binom * _GL_MOMENTS
@@ -414,6 +414,8 @@ class LogPowerPlain(ShellwiseDensity):
             raise ValueError(f"bad interval [{a}, {b})")
         if a == 0.0:
             return float(self.primitive(b))
+        from scipy.integrate import quad  # imported where called: scipy is most of the CLI start-up
+
         return quad(lambda x: _u(x) ** (-self.s), a, min(b, 1.0),
                     epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
@@ -700,6 +702,8 @@ def quadrature_integrate(g: Density, a: float, b: float, rel: float = 1e-11) -> 
     antiderivative path and used for cross-validation."""
     if a <= 0.0:
         raise ValueError("quadrature oracle requires a > 0 (singularity at 0)")
+    from scipy.integrate import quad
+
     val, _ = quad(lambda x: float(np.asarray(g.value(x))), a, b,
                   epsabs=0.0, epsrel=rel, limit=400)
     return val

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import zeta as _zeta_fn
 
 from .characteristics import dyadic_ainfty, dyadic_joint_ap, interval_scans_joint_ap, spine_joint_ap
 from .density import LN2, Constant, LogPowerPlain, Power, SignModulate
@@ -201,9 +199,11 @@ def _exp_series(s: float, a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     small = a < LN2 / 64.0
     if np.any(small):
+        from scipy.special import gamma  # imported where called: scipy is most of the CLI start-up
+
         asm = a[small]
         corr = _zeta_minus(s) - asm * _zeta_minus(s + 1.0)
-        out[small] = _gamma_fn(s + 1.0) * asm ** (-(s + 1.0)) + corr
+        out[small] = gamma(s + 1.0) * asm ** (-(s + 1.0)) + corr
     if np.any(~small):
         big = a[~small]
         n_terms = int(math.ceil((s * 40.0 + 60.0) / float(big.min())))
@@ -214,9 +214,11 @@ def _exp_series(s: float, a: np.ndarray) -> np.ndarray:
 
 def _zeta_minus(s: float) -> float:
     """zeta(-s) for s > 0 via the functional equation."""
+    from scipy.special import gamma, zeta
+
     z = s + 1.0
     return 2.0 * (2.0 * math.pi) ** (-z) * math.cos(math.pi * z / 2.0) \
-        * _gamma_fn(z) * float(_zeta_fn(z, 1))
+        * gamma(z) * float(zeta(z, 1))
 
 
 def direct_sum_block_snorm_p(k, p: float) -> np.ndarray:

@@ -2,8 +2,10 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from dyadicsq.cli import (
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -190,11 +192,75 @@ def test_nan_in_the_interval_scan_is_a_precondition_error(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # importing scipy.signal costs about 0.75 s, about the whole start-up
-    # budget of the CLI (about 0.8 s to import dyadicsq.cli)
+@pytest.mark.parametrize("cmd", [
+    ["characteristics", "--family", "lerner", "--p", "3", "--beta", "0.875", "--depth", "6"],
+    ["characteristics", "--family", "direct_sum", "--p", "4", "--depth", "6"],
+])
+def test_failed_internal_check_is_its_own_exit_code(tmp_path, monkeypatch, capsys, cmd):
+    # a negative tolerance fails every closed-form verification of a family
+    import dyadicsq.families as families
+
+    monkeypatch.setattr(families, "_VERIFY_TOL", -1.0)
+    out = tmp_path / "x.csv"
+    assert run([*cmd, "--out", str(out), "--no-timestamp"]) == EXIT_INTERNAL
+    assert "# error code=6 type=AssertionError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``python -c code *args`` in a new interpreter."""
     import subprocess
     import sys
 
-    code = "import dyadicsq.cli, sys; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # importing scipy.signal costs about 0.75 s, more than the whole start-up
+    # of the CLI (about 0.2 s to import dyadicsq.cli)
+    _fresh_python("import dyadicsq.cli, sys; assert 'scipy.signal' not in sys.modules")
+
+
+_SCIPY_FREE = """
+import os, sys
+from dyadicsq.cli import run
+from dyadicsq.families import (alternating_family, direct_sum_family,
+                               lai_treil_family, lerner_family, power_pair)
+lerner_family(3, 0.875), alternating_family(3, 0.875), power_pair(2, 0.5, "i")
+lai_treil_family(3, 0.4), direct_sum_family(4)
+out = sys.argv[1]
+for cmd in (
+    "characteristics --family power_pair_i --p 2 --beta 0.5 --depth 6",
+    "square-function --family lerner --p 3 --beta 0.875 --n-max 256",
+    "scaling --family alternating --p 3 --beta-grid j=3..5",
+    "ainfty-growth --p 3 --beta-grid j=3..5",
+    "extension-check --family lai_treil --p 3 --r 0.4 --span 1 --grid-log2 6",
+    "divergence --family lai_treil --p 3 --r 0.4 --k-max 1000",
+):
+    assert run([*cmd.split(), "--out", os.path.join(out, "x.csv")]) == 0, cmd
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_start_up_and_small_commands_load_no_scipy(tmp_path):
+    # scipy is most of the start-up time; only the off-zero quadrature and
+    # the direct-sum divergence import it, when they are called
+    assert _fresh_python(_SCIPY_FREE, str(tmp_path)).strip() == "[]"
+
+
+def test_the_paths_that_import_scipy_give_the_same_values(tmp_path):
+    from dyadicsq.density import LogPowerPlain, Power, quadrature_integrate
+
+    ds = ["divergence", "--family", "direct_sum", "--p", "4", "--k-max", "1000", "--no-timestamp"]
+    assert run([*ds, "--out", str(tmp_path / "here.csv")]) == EXIT_OK
+    _fresh_python("import sys; from dyadicsq.cli import run; assert run(sys.argv[1:]) == 0",
+                  *ds, "--out", str(tmp_path / "fresh.csv"))
+    assert _read(tmp_path / "fresh.csv") == _read(tmp_path / "here.csv")
+
+    got = _fresh_python("from dyadicsq.density import LogPowerPlain; "
+                        "print(LogPowerPlain(0.4).integrate(0.25, 0.5).hex())")
+    assert float.fromhex(got) == LogPowerPlain(0.4).integrate(0.25, 0.5)
+    got = _fresh_python("from dyadicsq.density import Power, quadrature_integrate; "
+                        "print(quadrature_integrate(Power(1.0, -0.5), 0.25, 0.5).hex())")
+    assert float.fromhex(got) == quadrature_integrate(Power(1.0, -0.5), 0.25, 0.5)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadicsq.density import (
@@ -493,3 +493,14 @@ def test_shell_averages_match_the_node_by_node_rule(s):
 @given(st.sampled_from([0.26, 0.4, 0.49, 2.0]), st.integers(1024, 10 ** 6 + 128))
 def test_series_shells_match_the_node_by_node_rule(s, n):
     assert _ulps_off(_shells_to_2_20(s)[n - 1], _gl_shell_avg(s, n)) <= 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.26, 0.4, 0.49, 2.0]), st.integers(1, 1023),
+       st.integers(1024, 2 ** 16), st.integers(0, 2 ** 16))
+@example(0.4, 1, 2 ** 20, 0)  # a BLAS matmul moved shell 1022 by 1 ulp with the row count
+def test_each_shell_average_is_independent_of_the_range(s, a, b, k):
+    g = LogPowerPlain(s)
+    got = g.shell_avgs_vec(a, b)
+    for n in [*range(a, min(b, 1100) + 1), a + k % (b - a + 1)]:
+        assert got[n - a] == g.shell_avgs_vec(n, n)[0], n
