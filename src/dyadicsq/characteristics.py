@@ -89,7 +89,10 @@ def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tr
     radial: roots restricted to the spine I_m; on each shell J_n the maximal
     function is bounded below by the best ancestor average among the spine
     intervals I_j (m <= j < n) and the shell itself, which is exact for
-    nonincreasing shell-wise monotone densities.
+    nonincreasing shell-wise monotone densities.  One weighted table of these
+    shell values serves every root: built for the deepest root, it changes
+    for root m only on the prefix where I_m leads, so building it costs
+    O(n_max + the sum of the led prefixes), and each root sums its slice.
     """
     if mode == "full_tree":
         if depth is None or depth > 20:
@@ -119,13 +122,43 @@ def _ainfty_full_tree(sigma: Density, depth: int) -> CharacteristicEstimate:
 
 def _ainfty_radial(sigma: Density, n_max: int, root_max: int) -> CharacteristicEstimate:
     i_avg, j_avg = sigma.spine_averages(n_max)
-    weights = np.exp2(-np.arange(1, n_max + 1, dtype=_LD))  # weights[t] = 2^-(t+1)
+    top = min(root_max, n_max - 2)
+    if top < 0:
+        return CharacteristicEstimate(0.0, "a_infty", ("spine", n_max))
+    # table[k] = max(C_m[k], J_{k+1}) 2^-(k+1) on the shell J_{k+1}, with
+    # C_m[k] = max I_{m..k} the best spine average from root m down to I_k.
+    # Root m's candidate sums table[m:], the terms of the weights 2^(m-n)
+    # times 2^-m (exactly, while no term is subnormal), in the same order.
+    weights = np.ldexp(_LD(1), -np.arange(1, n_max + 1))  # 2^-(k+1), exp2's values
+    deep = np.maximum.accumulate(i_avg[top:n_max])  # C_top
+    table = np.concatenate((i_avg[:top], deep))
+    np.maximum(table, j_avg[1:], out=table)
+    table *= weights
+    # Moving up to root m changes C only on [m+1, e), where I_m leads (never,
+    # if averages grow with depth).  C_m is kept as a stack of constant runs
+    # (end, value), the last one starting at m, then deep from the first end on.
+    runs, sums = [], []
+    leads = (i_avg[:top] > i_avg[1 : top + 1]).tolist() + [False]
+    for m in range(top, -1, -1):
+        x, end = i_avg[m], m + 1
+        if leads[m]:
+            while runs and runs[-1][1] < x:
+                end = runs.pop()[0]
+            if not runs and end < n_max and deep[end - top] < x:
+                end += int(np.searchsorted(deep[end - top:], x))
+            led = slice(m + 1, end)
+            np.maximum(x, j_avg[m + 2 : end + 1], out=table[led])
+            table[led] *= weights[led]
+        runs.append((end, x))
+        sums.append(np.add.reduce(table[m:]))
+        # a NaN entry stays NaN for every shallower root (maximum keeps it, C
+        # only grows, and inf * 0 stays NaN), so root I_0 has it too; only a
+        # -inf average, lifted by a shallower one, could take it out again
+        if math.isnan(sums[-1]) and not (np.isneginf(i_avg).any() or np.isneginf(j_avg).any()):
+            raise NonFiniteCandidateError(f"NaN candidate at root I_0, n_max {n_max}")
+    ratios = np.ldexp(np.array(sums[::-1]), np.arange(top + 1)) / i_avg[: top + 1]
     best = 0.0
-    for m in range(min(root_max, n_max - 2) + 1):
-        # shells J_n, m < n <= n_max; spine candidates I_m..I_{n-1}
-        cm = np.maximum.accumulate(i_avg[m:n_max])        # cm[t] = max I_{m..m+t}
-        mvals = np.maximum(cm, j_avg[m + 1 : n_max + 1])  # aligned with n = m+1..n_max
-        ratio = float(np.sum(mvals * weights[: n_max - m]) / i_avg[m])  # 2^(m-n)
+    for m, ratio in enumerate(ratios.astype(float).tolist()):
         best = _checked_max(best, ratio, f"root I_{m}, n_max {n_max}")
     return CharacteristicEstimate(best, "a_infty", ("spine", n_max))
 

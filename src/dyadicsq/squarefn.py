@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +29,11 @@ class SpineProfile:
     """Spine data for a fixed density g = sigma*f.
 
     d_left[k]  = value of Delta_{I_k} g on I_{k+1}  (k = 0..n_max-1)
-    d_right[k] = value of Delta_{I_k} g on J_{k+1}
     left_squares[k] = sum_{j<k} d_left[j]^2  (k = 0..n_max), in extended precision
+
+    computed on first read (the divergence experiments read left_squares only):
+
+    d_right[k] = value of Delta_{I_k} g on J_{k+1}
     s[n]       = square-function lower bound on the shell J_n (n = 1..n_max),
                  using the ancestors I_0..I_{n-1} only.
     """
@@ -38,9 +42,19 @@ class SpineProfile:
     i_avg: np.ndarray
     j_avg: np.ndarray
     d_left: np.ndarray
-    d_right: np.ndarray
     left_squares: np.ndarray
-    s: np.ndarray
+
+    @cached_property
+    def d_right(self) -> np.ndarray:
+        return self.j_avg[1:] - self.i_avg[:-1]
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        s = np.empty(self.n_max + 1, dtype=_LD)
+        s[0] = np.nan
+        # on J_n the ancestors I_0..I_{n-2} act through d_left, I_{n-1} through d_right
+        s[1:] = np.sqrt(self.left_squares[:-1] + self.d_right * self.d_right)
+        return s
 
 
 @dataclass(frozen=True)
@@ -68,14 +82,9 @@ def spine_profile(g: Density, n_max: int) -> SpineProfile:
         raise ValueError("n_max must be >= 1")
     i_avg, j_avg = g.spine_averages(n_max)
     d_left = i_avg[1:] - i_avg[:-1]
-    d_right = j_avg[1:] - i_avg[:-1]
     cum = np.zeros(n_max + 1, dtype=_LD)
     np.cumsum(d_left * d_left, out=cum[1:])
-    s = np.empty(n_max + 1, dtype=_LD)
-    s[0] = np.nan
-    # on J_n the ancestors I_0..I_{n-2} act through d_left, I_{n-1} through d_right
-    s[1:] = np.sqrt(cum[:-1] + d_right * d_right)
-    return SpineProfile(n_max, i_avg, j_avg, d_left, d_right, cum, s)
+    return SpineProfile(n_max, i_avg, j_avg, d_left, cum)
 
 
 def level_averages(g: Density, depth: int) -> list[np.ndarray]:

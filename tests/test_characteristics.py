@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dyadicsq.characteristics import (
     CharacteristicEstimate,
     NonFiniteCandidateError,
+    _checked_max,
     _cumulative_on_grid,
     _pair_scan_max,
     _singular_pair_maxima,
@@ -542,17 +543,22 @@ def test_extension_experiment_makes_no_scalar_integrate_call(monkeypatch):
 # the radial A_infty against a per-root reference and the x^-beta closed form
 
 
-def _per_root_radial(sigma, n_max, root_max):
-    """Radial A_infty with the weights 2^(m-n) raised afresh for every root:
-    the reference the shared weight table must reproduce bit for bit."""
-    i_avg, j_avg = sigma.spine_averages(n_max)
-    best = 0.0
+def _per_root_candidates(i_avg, j_avg, n_max, root_max):
+    """(m, candidate of root I_m) with the weights 2^(m-n) raised afresh for
+    every root: the reference the shared weight table must reproduce bit for bit."""
     for m in range(min(root_max, n_max - 2) + 1):
         cm = np.maximum.accumulate(i_avg[m:n_max])
         mvals = np.maximum(cm, j_avg[m + 1 : n_max + 1])
         n = np.arange(m + 1, n_max + 1)
         weights = np.exp2(np.longdouble(m) - np.asarray(n, dtype=np.longdouble))
-        best = max(best, float(np.sum(mvals * weights) / i_avg[m]))
+        yield m, float(np.sum(mvals * weights) / i_avg[m])
+
+
+def _per_root_radial(sigma, n_max, root_max):
+    """The per-root radial A_infty, with max() (which drops a NaN candidate)."""
+    best = 0.0
+    for _, value in _per_root_candidates(*sigma.spine_averages(n_max), n_max, root_max):
+        best = max(best, value)
     return best
 
 
@@ -581,6 +587,97 @@ def test_radial_ainfty_is_the_per_root_reference(sigma, n_max, root_max):
         sigma = _family_weights()[sigma]
     got = dyadic_ainfty(sigma, mode="radial", n_max=n_max, root_max=root_max).value
     assert got == _per_root_radial(sigma, n_max, root_max)
+
+
+class _SpineStub:
+    """A density that is nothing but the spine averages it was given."""
+
+    def __init__(self, i_avg, j_avg):
+        self.i_avg, self.j_avg = i_avg, j_avg
+
+    def spine_averages(self, n_max):
+        return self.i_avg, self.j_avg
+
+
+def _outcome(f):
+    """("value", f()) or ("raise", the NonFiniteCandidateError message)."""
+    try:
+        return "value", f()
+    except NonFiniteCandidateError as exc:
+        return "raise", str(exc)
+
+
+def _random_spine(rng, n_max, shape):
+    """n_max + 1 positive extended-precision averages in [2^-60, 2^60]: small
+    enough that no weighted term of a spine of depth 3000 is subnormal."""
+    if shape == "walk":  # long monotone runs both ways
+        logs = np.clip(np.cumsum(rng.normal(0.0, 2.0, n_max + 1)), -60.0, 60.0)
+    else:
+        logs = rng.uniform(-60.0, 60.0, n_max + 1)
+        logs = {"random": logs, "rising": np.sort(logs), "falling": -np.sort(-logs)}[shape]
+    return np.exp2(logs.astype(np.longdouble))
+
+
+_HOLES = st.lists(st.tuples(st.sampled_from(["i", "j"]), st.floats(0.0, 1.0),
+                            st.sampled_from([0.0, math.inf, math.nan, -math.inf])), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["random", "walk", "rising", "falling"]), _HOLES)
+def test_radial_ainfty_is_the_checked_per_root_reference_on_any_spine(n_max, root_max, seed,
+                                                                      shape, holes):
+    # non-monotone spines with zeros, infinities and NaNs: the same value, or
+    # the same first NaN root in ascending order, as every root on its own
+    rng = np.random.default_rng(seed)
+    spine = {"i": _random_spine(rng, n_max, shape), "j": _random_spine(rng, n_max, shape)}
+    spine["j"][0] = np.nan
+    for which, where, value in holes:
+        spine[which][round(where * n_max)] = value
+
+    def reference():
+        best = 0.0
+        for m, value in _per_root_candidates(spine["i"], spine["j"], n_max, root_max):
+            best = _checked_max(best, value, f"root I_{m}, n_max {n_max}")
+        return best
+
+    stub = _SpineStub(spine["i"], spine["j"])
+    with np.errstate(all="ignore"):
+        want = _outcome(reference)
+        got = _outcome(lambda: dyadic_ainfty(stub, mode="radial", n_max=n_max,
+                                             root_max=root_max).value)
+    assert got == want
+
+
+def test_radial_nan_in_the_deepest_shell_raises_at_root_0():
+    # every root's table holds the NaN of the deepest shell, root I_0's too
+    i_avg = np.full(65, np.longdouble(1.0))
+    j_avg = np.full(65, np.longdouble(1.0))
+    j_avg[0] = j_avg[64] = np.nan
+    with pytest.raises(NonFiniteCandidateError, match="root I_0, n_max 64$"):
+        dyadic_ainfty(_SpineStub(i_avg, j_avg), mode="radial", n_max=64)
+
+
+def test_radial_nan_lifted_by_a_shallower_root_stays_with_its_root():
+    # -inf at I_6 and J_7 and +inf at J_8 make root 6's sum NaN; I_5 = 1
+    # lifts the -inf, so roots 0..5 are inf and the NaN is root 6's alone
+    i_avg = np.full(9, np.longdouble(1.0))
+    j_avg = np.full(9, np.longdouble(1.0))
+    i_avg[6], j_avg[7], j_avg[8], j_avg[0] = -np.inf, -np.inf, np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteCandidateError, match="root I_6, n_max 8$"):
+            dyadic_ainfty(_SpineStub(i_avg, j_avg), mode="radial", n_max=8)
+
+
+def test_radial_zero_over_zero_reports_the_smallest_root():
+    # the roots from I_5 down see only zero averages: 0/0 there, finite above
+    i_avg = np.full(33, np.longdouble(1.0))
+    j_avg = np.full(33, np.longdouble(1.0))
+    i_avg[5:] = j_avg[6:] = 0.0
+    j_avg[0] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteCandidateError, match="root I_5, n_max 32$"):
+            dyadic_ainfty(_SpineStub(i_avg, j_avg), mode="radial", n_max=32)
 
 
 def _power_sweep(j):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicsq.density import Constant, LogPowerPlain, Power, Scale, SignModulate
+from dyadicsq.density import Constant, LogPowerPlain, NonIntegrableError, Power, Scale, SignModulate
 from dyadicsq.dyadic import DyadicInterval, spine
 from dyadicsq.squarefn import (
     TailNotCertifiedError,
@@ -184,3 +184,81 @@ def test_partial_mass_profile_uses_the_left_squares_of_the_profile():
     ks = np.concatenate([[0], ks])
     want = [0.0 if k == 0 else float(rebuilt[k] ** (p / 2.0)) * w.spine_mass(int(k)) for k in ks]
     assert partial_mass_profile(prof, w, p, ks).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# spine profiles: d_right and s are computed on first read
+
+
+def _family_densities():
+    from dyadicsq.families import (alternating_family, direct_sum_family, lai_treil_family,
+                                   lerner_family, power_pair)
+
+    for name, inst in (("lerner", lerner_family(3.0, 0.875)),
+                       ("alternating", alternating_family(3.0, 0.875)),
+                       ("power_pair_i", power_pair(3.0, 0.5, "i")),
+                       ("power_pair_ii", power_pair(3.0, 0.5, "ii")),
+                       ("lai_treil", lai_treil_family(3.0, 0.4)),
+                       ("direct_sum", direct_sum_family(3.0))):
+        for part in ("w", "sigma", "sigma_f"):
+            if getattr(inst, part) is not None:
+                yield f"{name}.{part}", getattr(inst, part)
+
+
+_FAMILY_DENSITIES = dict(_family_densities())
+
+
+@pytest.mark.parametrize("n_max", [4, 257, 4096])
+@pytest.mark.parametrize("name", sorted(_FAMILY_DENSITIES))
+def test_lazy_spine_profile_fields_are_the_eager_formulas(name, n_max):
+    g = _FAMILY_DENSITIES[name]
+    try:
+        i_avg, j_avg = g.spine_averages(n_max)
+    except NonIntegrableError:  # beyond the density's spine depth: the profile fails alike
+        with pytest.raises(NonIntegrableError):
+            spine_profile(g, n_max)
+        return
+    prof = spine_profile(g, n_max)
+    d_left = i_avg[1:] - i_avg[:-1]
+    d_right = j_avg[1:] - i_avg[:-1]
+    cum = np.zeros(n_max + 1, dtype=np.longdouble)
+    np.cumsum(d_left * d_left, out=cum[1:])
+    s = np.empty(n_max + 1, dtype=np.longdouble)
+    s[0] = np.nan
+    s[1:] = np.sqrt(cum[:-1] + d_right * d_right)
+    assert "s" not in vars(prof) and "d_right" not in vars(prof)
+    assert np.array_equal(prof.d_left, d_left) and np.array_equal(prof.left_squares, cum)
+    assert np.array_equal(prof.d_right, d_right)
+    assert np.array_equal(prof.s, s, equal_nan=True)
+    assert prof.s is prof.s and prof.d_right is prof.d_right  # built once
+
+
+def test_lai_treil_divergence_never_builds_s(monkeypatch):
+    from dyadicsq import experiments
+
+    profiles = []
+
+    def keep(g, n_max):
+        profiles.append(spine_profile(g, n_max))
+        return profiles[-1]
+
+    monkeypatch.setattr(experiments, "spine_profile", keep)
+    experiments.lai_treil_divergence(3.0, 0.4, 10 ** 6)
+    (prof,) = profiles
+    assert "s" not in vars(prof) and "d_right" not in vars(prof)
+
+
+@pytest.mark.parametrize("family, p, want", [
+    ("lerner", 2.5, 13.844863060369418),
+    ("lerner", 3.0, 12.144174683294372),
+    ("lerner", 4.0, 10.361079006275883),
+    ("alternating", 2.5, 5.565685738854603),
+    ("alternating", 3.0, 5.053514276246683),
+    ("alternating", 4.0, 4.579399442564133),
+])
+def test_weighted_snorm_values_are_unchanged(family, p, want):
+    # the values of the eagerly built profile, to the bit (beta 0.875, n_max 2048)
+    from dyadicsq.families import alternating_family, lerner_family
+
+    inst = {"lerner": lerner_family, "alternating": alternating_family}[family](p, 0.875)
+    assert weighted_snorm(inst.sigma_f, inst.w, p, n_max=2048) == want
