@@ -1,4 +1,4 @@
-"""Joint A_p, Muckenhoupt A_p and Fujii-Wilson A_infty characteristics.
+"""Joint A_p and Fujii-Wilson A_infty characteristics.
 
 Every estimate returned here is a certified lower bound of the corresponding
 supremum, nondecreasing under refinement of its truncation parameter (dyadic
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .density import Density, dual_power
-from .squarefn import level_averages
+from .density import Density
+from .squarefn import FULL_TREE_MAX_DEPTH, level_averages
 
 _LD = np.longdouble
 
@@ -34,7 +34,7 @@ def _checked_max(best: float, value: float, where: str) -> float:
 @dataclass(frozen=True)
 class CharacteristicEstimate:
     value: float
-    kind: str            # joint_ap | muckenhoupt_ap | a_infty
+    kind: str            # joint_ap | a_infty
     scope: tuple         # ("dyadic", depth) | ("spine", n_max) | ("scan", step, span)
     p: float | None = None
 
@@ -72,12 +72,6 @@ def spine_joint_ap_values(w: Density, sigma: Density, p: float, n_max: int) -> n
     return np.exp(logs).astype(float)
 
 
-def muckenhoupt_ap(w: Density, p: float, depth: int) -> CharacteristicEstimate:
-    """[w]_{A_p} over the dyadic tree, with the closed-form dual weight."""
-    est = dyadic_joint_ap(w, dual_power(w, p), p, depth)
-    return CharacteristicEstimate(est.value, "muckenhoupt_ap", est.scope, p)
-
-
 def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tree",
                   n_max: int | None = None, root_max: int = 24) -> CharacteristicEstimate:
     """Fujii-Wilson characteristic sup_Q (1/sigma(Q)) int_Q M_{Q,D} sigma.
@@ -95,8 +89,8 @@ def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tr
     O(n_max + the sum of the led prefixes), and each root sums its slice.
     """
     if mode == "full_tree":
-        if depth is None or depth > 20:
-            raise ValueError("full_tree requires depth <= 20")
+        if depth is None or depth > FULL_TREE_MAX_DEPTH:
+            raise ValueError(f"full_tree requires depth <= {FULL_TREE_MAX_DEPTH}")
         return _ainfty_full_tree(sigma, depth)
     if mode == "radial":
         if n_max is None:

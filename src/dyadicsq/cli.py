@@ -1,5 +1,13 @@
 """Command-line front end: experiment dispatch and CSV emission.
 
+Every ``--family`` is checked against ``experiments.FAMILIES``: the family
+must support the subcommand (square-function needs a test function, scaling a
+beta sweep, divergence a divergence table, extension-check a line extension),
+and ``--beta`` and ``--r`` must be the parameters it takes.  A parameter left
+out takes its default (lai_treil's r), and the CSV metadata records the value
+used.  An unknown family, an unsupported subcommand, a parameter the family
+does not take and a missing one without a default all exit 3.
+
 Exit codes: 0 success, 2 usage error, 3 parameter/precondition failure,
 4 uncertified series tail, 5 I/O failure, 6 internal check failed (a failed
 closed-form verification, which is a bug).  Failures also print a single
@@ -15,26 +23,17 @@ import sys
 
 from . import __version__
 from .characteristics import dyadic_ainfty, dyadic_joint_ap, spine_joint_ap
-from .density import NonIntegrableError
 from .experiments import (
     DivergenceReport,
     ScalingReport,
     ainfty_growth_experiment,
     default_beta_grid,
-    default_r,
     divergence_experiment,
     extension_experiment,
+    family_entry,
     scaling_experiment,
 )
-from .families import (
-    ExtensionHypothesisError,
-    alternating_family,
-    direct_sum_family,
-    lai_treil_family,
-    lerner_family,
-    power_pair,
-)
-from .squarefn import TailNotCertifiedError, weighted_snorm
+from .squarefn import FULL_TREE_MAX_DEPTH, TailNotCertifiedError, weighted_snorm
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,32 +106,11 @@ def _parse_beta_grid(args) -> list[float]:
     return betas
 
 
-_FAMILY_BUILDERS = {
-    "lerner": lambda p, a: lerner_family(p, a.beta),
-    "alternating": lambda p, a: alternating_family(p, a.beta),
-    "power_pair_i": lambda p, a: power_pair(p, a.beta, "i"),
-    "power_pair_ii": lambda p, a: power_pair(p, a.beta, "ii"),
-    "lai_treil": lambda p, a: lai_treil_family(p, a.r if a.r is not None else default_r(p)),
-    "direct_sum": lambda p, a: direct_sum_family(p),
-}
-
-
-def _build_family(args):
-    if args.family not in _FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {args.family!r}")
-    if args.family in ("lerner", "alternating", "power_pair_i", "power_pair_ii") \
-            and args.beta is None:
-        raise ValueError(f"family {args.family} requires --beta")
-    return _FAMILY_BUILDERS[args.family](args.p, args)
-
-
-def _family_params(args) -> dict:
-    out = {"family": args.family, "p": args.p}
-    if getattr(args, "beta", None) is not None:
-        out["beta"] = args.beta
-    if getattr(args, "r", None) is not None:
-        out["r"] = args.r
-    return out
+def _family(args, capability: str | None = None):
+    """The table entry of --family, which must have ``capability``, and its
+    parameters from --beta and --r, checked against the ones it takes."""
+    fam = family_entry(args.family, capability)
+    return fam, fam.resolve(args.p, beta=args.beta, r=args.r)
 
 
 # ---------------------------------------------------------------------------
@@ -140,29 +118,30 @@ def _family_params(args) -> dict:
 
 
 def _cmd_characteristics(args) -> None:
-    inst = _build_family(args)
-    if not 1 <= args.depth <= 20:
-        raise ValueError("depth must lie in [1, 20]")
+    fam, params = _family(args)
+    inst = fam.make(args.p, **params)
+    if not 1 <= args.depth <= FULL_TREE_MAX_DEPTH:
+        raise ValueError(f"depth must lie in [1, {FULL_TREE_MAX_DEPTH}]")
     n_max = max(4 * args.depth, 256)
     joint = dyadic_joint_ap(inst.w, inst.sigma, args.p, args.depth)
     spine = spine_joint_ap(inst.w, inst.sigma, args.p, n_max)
     aw = dyadic_ainfty(inst.w, mode="radial", n_max=n_max)
     asig = dyadic_ainfty(inst.sigma, mode="radial", n_max=n_max)
-    emit_csv(args.out, {**_family_params(args), "depth": args.depth, "n_max": n_max},
+    emit_csv(args.out, {"family": args.family, "p": args.p, **params, "depth": args.depth,
+                        "n_max": n_max},
              ["joint_ap_dyadic", "joint_ap_spine", "ainfty_w", "ainfty_sigma"],
              [(joint.value, spine.value, aw.value, asig.value)],
              timestamp=not args.no_timestamp)
 
 
 def _cmd_square_function(args) -> None:
-    inst = _build_family(args)
-    if inst.sigma_f is None:
-        raise ValueError(f"family {args.family} carries no test function")
+    fam, params = _family(args, "test_function")
+    inst = fam.make(args.p, **params)
     if args.n_max < 4:
         raise ValueError("n-max must be >= 4")
     snorm = weighted_snorm(inst.sigma_f, inst.w, args.p, n_max=args.n_max,
                            tail_rel_tol=args.tail_rel_tol)
-    emit_csv(args.out, {**_family_params(args), "n_max": args.n_max,
+    emit_csv(args.out, {"family": args.family, "p": args.p, **params, "n_max": args.n_max,
                         "tail_rel_tol": args.tail_rel_tol},
              ["snorm_lower", "fnorm"], [(snorm, inst.fnorm)],
              timestamp=not args.no_timestamp)
@@ -173,15 +152,18 @@ def _report_rows(report: ScalingReport | DivergenceReport, keys: list[str]):
     return zip(*(c.tolist() for c in cols))
 
 
+def _emit_sweep(args, meta: dict, report: ScalingReport, keys: list[str]) -> None:
+    """A beta sweep's CSV: one row per beta, and the notes after ``meta``."""
+    rows = [(b, *vals) for b, vals in zip(report.params.tolist(), _report_rows(report, keys))]
+    emit_csv(args.out, {**meta, "notes": "; ".join(report.notes)}, ["beta"] + keys, rows,
+             report.fits, timestamp=not args.no_timestamp)
+
+
 def _cmd_scaling(args) -> None:
     betas = _parse_beta_grid(args)
     report = scaling_experiment(args.family, args.p, betas)
-    keys = ["fnorm", "snorm", "ap_joint", "ainfty_w", "ainfty_sigma", "ratio"]
-    rows = [(b, *vals) for b, vals in zip(report.params.tolist(), _report_rows(report, keys))]
-    meta = {"command": "scaling", "family": args.family, "p": args.p,
-            "notes": "; ".join(report.notes)}
-    emit_csv(args.out, meta, ["beta"] + keys, rows, report.fits,
-             timestamp=not args.no_timestamp)
+    _emit_sweep(args, {"command": "scaling", "family": args.family, "p": args.p}, report,
+                ["fnorm", "snorm", "ap_joint", "ainfty_w", "ainfty_sigma", "ratio"])
 
 
 def _cmd_divergence(args) -> None:
@@ -194,16 +176,12 @@ def _cmd_divergence(args) -> None:
 
 
 def _cmd_extension_check(args) -> None:
-    params = {}
-    if args.beta is not None:
-        params["beta"] = args.beta
-    if args.r is not None:
-        params["r"] = args.r
+    _, params = _family(args, "extension_x0")
     if args.span < 1:
         raise ValueError("span must be >= 1")
     res = extension_experiment(args.family, args.p, args.span,
                                2.0 ** -args.grid_log2, **params)
-    meta = {"command": "extension-check", **_family_params(args),
+    meta = {"command": "extension-check", "family": args.family, "p": args.p, **params,
             "grid_step": 2.0 ** -args.grid_log2}
     keys = ["span", "scan_max", "scan_max_doubled", "span_doubling_ratio",
             "unit_cell_dyadic"]
@@ -214,11 +192,8 @@ def _cmd_extension_check(args) -> None:
 def _cmd_ainfty_growth(args) -> None:
     betas = _parse_beta_grid(args)
     report = ainfty_growth_experiment(args.p, betas)
-    keys = ["n_max", "ainfty_w", "ainfty_sigma"]
-    rows = [(b, *vals) for b, vals in zip(report.params.tolist(), _report_rows(report, keys))]
-    meta = {"command": "ainfty-growth", "p": args.p, "notes": "; ".join(report.notes)}
-    emit_csv(args.out, meta, ["beta"] + keys, rows, report.fits,
-             timestamp=not args.no_timestamp)
+    _emit_sweep(args, {"command": "ainfty-growth", "p": args.p}, report,
+                ["n_max", "ainfty_w", "ainfty_sigma"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +274,7 @@ def run(argv=None) -> int:
         args.fn(args)
     except TailNotCertifiedError as e:
         return _fail(EXIT_UNCERTIFIED, e)
-    except (ValueError, NonIntegrableError, ExtensionHypothesisError) as e:
+    except ValueError as e:  # NonIntegrableError, ExtensionHypothesisError, NonFiniteCandidateError
         return _fail(EXIT_PRECONDITION, e)
     except AssertionError as e:  # a failed internal check (closed-form verification): a bug
         return _fail(EXIT_INTERNAL, e)

@@ -51,6 +51,14 @@ _LD = np.longdouble
 #: Deepest shell J_n whose left end 2^-n is a nonzero double.
 _MAX_SHELL = 1074
 
+#: Deepest spine of the generic ``Density.spine_averages``, which evaluates
+#: ``primitive`` at 2^-k: those points stay normal doubles, with a margin.
+_GENERIC_MAX_SPINE = 1000
+
+#: Deepest I_k for ``spine_mass``: 2^-1070 is still 16 times the smallest
+#: double, so a mass of that order is not yet 0.
+_SPINE_MASS_MAX_DEPTH = 1070
+
 
 class NonIntegrableError(ValueError):
     """The requested integral diverges (e.g. x^gamma with gamma <= -1 down to 0)."""
@@ -93,9 +101,9 @@ class Density:
         Generic fallback goes through ``primitive`` and is limited to depths
         where 2^-k is representable; leaves override with stable closed forms.
         """
-        if n_max > 1000:
+        if n_max > _GENERIC_MAX_SPINE:
             raise NonIntegrableError(
-                f"{type(self).__name__}: generic spine averages limited to depth 1000"
+                f"{type(self).__name__}: generic spine averages limited to depth {_GENERIC_MAX_SPINE}"
             )
         k = np.arange(n_max + 1)
         i_avg = _as_longdouble(self.primitive(np.ldexp(1.0, -k))) * np.exp2(_as_longdouble(k))
@@ -118,7 +126,7 @@ class Density:
 
     def spine_mass(self, k: int) -> float:
         """Mass of I_k = [0, 2^-k); overridden where 2^-k would underflow."""
-        if k > 1070:
+        if k > _SPINE_MASS_MAX_DEPTH:
             raise NonIntegrableError(
                 f"{type(self).__name__}: spine mass not available at depth {k}"
             )
@@ -221,7 +229,7 @@ class Constant(Density):
         return i_avg, j_avg
 
     def spine_mass(self, k: int) -> float:
-        return self.c * 0.5 ** k if k <= 1070 else 0.0
+        return self.c * 0.5 ** k if k <= _SPINE_MASS_MAX_DEPTH else 0.0
 
 
 @dataclass(frozen=True)
@@ -265,7 +273,7 @@ class Power(Density):
 
     def spine_mass(self, k: int) -> float:
         g1 = self.gamma + 1.0
-        return self.c / g1 * 2.0 ** (-k * g1) if k * g1 < 1070 else 0.0
+        return self.c / g1 * 2.0 ** (-k * g1) if k * g1 < _SPINE_MASS_MAX_DEPTH else 0.0
 
 
 def _u(x):
@@ -447,32 +455,6 @@ class Scale(Density):
 
     def spine_mass(self, k):
         return self.c * self.inner.spine_mass(k)
-
-
-@dataclass(frozen=True)
-class Sum(Density):
-    parts: tuple[Density, ...]
-
-    def value(self, x):
-        return sum(p.value(x) for p in self.parts)
-
-    def primitive(self, t):
-        return sum(p.primitive(t) for p in self.parts)
-
-    def integrate(self, a, b):
-        return sum(p.integrate(a, b) for p in self.parts)
-
-    def spine_averages(self, n_max):
-        acc_i = np.zeros(n_max + 1, dtype=_LD)
-        acc_j = np.zeros(n_max + 1, dtype=_LD)
-        for p in self.parts:
-            i_avg, j_avg = p.spine_averages(n_max)
-            acc_i += i_avg
-            acc_j += j_avg
-        return acc_i, acc_j
-
-    def spine_mass(self, k):
-        return sum(p.spine_mass(k) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -668,42 +650,5 @@ class PeriodicReflect(Density):
 # module-level operations
 
 
-def integrate(g: Density, a: float, b: float) -> float:
-    return g.integrate(a, b)
-
-
 def average(g: Density, q: DyadicInterval) -> float:
     return g.integrate(float(q.left), float(q.right)) * 2.0 ** q.level
-
-
-def shell_mass(g: Density, n: int) -> float:
-    if n < 1:
-        raise ValueError("shell index must be >= 1")
-    return g.integrate(0.5 ** n, 0.5 ** (n - 1))
-
-
-def affine_pullback(g: Density, offset: float, scale: float, reflected: bool = False) -> Density:
-    return AffinePullback(g, offset, scale, reflected)
-
-
-def dual_power(g: Density, p: float) -> Density:
-    """The dual weight g^(-1/(p-1)); closed form for pure powers only."""
-    if p <= 1.0:
-        raise ValueError("dual weight requires p > 1")
-    if isinstance(g, Constant):
-        return Constant(g.c ** (-1.0 / (p - 1.0)))
-    if isinstance(g, Power):
-        return Power(g.c ** (-1.0 / (p - 1.0)), -g.gamma / (p - 1.0))
-    raise TypeError(f"dual weight has no closed form for {type(g).__name__}")
-
-
-def quadrature_integrate(g: Density, a: float, b: float, rel: float = 1e-11) -> float:
-    """Adaptive-quadrature oracle for integrals with 0 < a; independent of the
-    antiderivative path and used for cross-validation."""
-    if a <= 0.0:
-        raise ValueError("quadrature oracle requires a > 0 (singularity at 0)")
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda x: float(np.asarray(g.value(x))), a, b,
-                  epsabs=0.0, epsrel=rel, limit=400)
-    return val

@@ -1,6 +1,6 @@
 """Exact arithmetic on dyadic subintervals of [0, 1).
 
-Intervals are identified by an integer pair (level, index); endpoints are only
+Intervals are identified by an integer pair (level, index); their ends are only
 materialized as binary rationals, so all tree logic is exact integer work.
 """
 
@@ -43,11 +43,6 @@ class DyadicInterval:
     def right(self) -> Fraction:
         return Fraction(self.index + 1, 2 ** self.level)
 
-    def contains(self, other: "DyadicInterval") -> bool:
-        if other.level < self.level:
-            return False
-        return other.index >> (other.level - self.level) == self.index
-
 
 def children(q: DyadicInterval, max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[DyadicInterval, DyadicInterval]:
     """Left and right halves of ``q``; they partition ``q`` exactly."""
@@ -65,19 +60,3 @@ def spine(k: int) -> DyadicInterval:
         raise ValueError("spine index must be nonnegative")
     return DyadicInterval(k, 0)
 
-
-def shell(n: int) -> DyadicInterval:
-    """J_n = [2^-n, 2^-(n-1)), the right child of I_{n-1}.  Requires n >= 1."""
-    if n < 1:
-        raise ValueError("shell index must be >= 1")
-    return DyadicInterval(n, 1)
-
-
-def endpoints(q: DyadicInterval) -> tuple[Fraction, Fraction]:
-    """Exact (left, right) endpoints as binary rationals."""
-    return q.left, q.right
-
-
-def level_intervals(n: int) -> list[DyadicInterval]:
-    """All dyadic intervals at level n; they partition [0, 1)."""
-    return [DyadicInterval(n, k) for k in range(2 ** n)]

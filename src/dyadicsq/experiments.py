@@ -9,16 +9,16 @@ maximum relative residual, never a bare slope.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .characteristics import dyadic_ainfty, dyadic_joint_ap, interval_scans_joint_ap, spine_joint_ap
-from .density import LN2, Constant, LogPowerPlain, Power, SignModulate
+from .density import LN2, Constant, Power
 from .families import (
     FamilyInstance,
     alternating_family,
-    direct_sum_coefficient,
     direct_sum_family,
     extend_to_line,
     lai_treil_family,
@@ -31,6 +31,9 @@ DEFAULT_J_RANGE = range(3, 9)
 # the sweep tail tolerance: at beta = 1 - 2^-8 the extended-precision spine
 # caps n_max near 32/(1-beta), where the certified tail sits around 1e-4
 SWEEP_TAIL_TOL = 2e-4
+# the A_infty growth sweep's n_max = 16/(1-beta): the radial sum of x^-beta
+# drops terms like 2^(-(1-beta) n), so its tail past n_max is about 2^-16
+GROWTH_DEPTH_FACTOR = 16.0
 
 
 def default_beta_grid(j_range=DEFAULT_J_RANGE) -> np.ndarray:
@@ -53,8 +56,7 @@ class FitResult:
 class ScalingReport:
     family: str
     p: float
-    param_name: str
-    params: np.ndarray
+    params: np.ndarray  # the swept betas
     columns: dict[str, np.ndarray]
     fits: dict[str, FitResult] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
@@ -68,6 +70,69 @@ class DivergenceReport:
     columns: dict[str, np.ndarray]
     fits: dict[str, FitResult] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """An example family: ``make(p, **params)`` builds it, and ``params`` maps
+    each parameter to its default as a function of p (None: no default).  The
+    rest say which experiments apply: a test function, a beta sweep, a table
+    ``divergence(p, k_max, **params)``, a line extension from [extension_x0, 1).
+    """
+
+    name: str
+    make: Callable[..., FamilyInstance]
+    params: dict = field(default_factory=dict)
+    test_function: bool = False
+    scaling: bool = False
+    divergence: Callable[..., DivergenceReport] | None = None
+    extension_x0: float | None = None
+
+    def resolve(self, p: float, **given) -> dict:
+        """The given parameters (None: not given), else the defaults; a ValueError
+        for one the family does not take or a missing one without a default."""
+        if extra := [k for k, v in given.items() if v is not None and k not in self.params]:
+            raise ValueError(f"family {self.name} takes no --{extra[0]}")
+        out = {}
+        for k, default in self.params.items():
+            if (v := given.get(k)) is None and default is None:
+                raise ValueError(f"family {self.name} requires --{k}")
+            out[k] = default(p) if v is None else v
+        return out
+
+
+# The entries call the constructors by their module-level names, which a
+# tracer can rebind; a constructor held in a field could not be.
+FAMILIES = {f.name: f for f in (
+    Family("lerner", lambda p, beta: lerner_family(p, beta), {"beta": None},
+           test_function=True, scaling=True),
+    Family("alternating", lambda p, beta: alternating_family(p, beta), {"beta": None},
+           test_function=True, scaling=True),
+    Family("power_pair_i", lambda p, beta: power_pair(p, beta, "i"), {"beta": None},
+           extension_x0=0.5),
+    Family("power_pair_ii", lambda p, beta: power_pair(p, beta, "ii"), {"beta": None},
+           extension_x0=0.5),
+    Family("lai_treil", lambda p, r: lai_treil_family(p, r), {"r": default_r}, test_function=True,
+           divergence=lambda p, k_max, r: lai_treil_divergence(p, r, k_max), extension_x0=0.5),
+    Family("direct_sum", lambda p: direct_sum_family(p), test_function=True,
+           divergence=lambda p, k_max: direct_sum_divergence(p, k_max), extension_x0=0.75),
+    Family("constant", lambda p: FamilyInstance(
+        "constant", p, {}, Constant(1.0), Constant(1.0), None, None), extension_x0=0.5),
+)}
+
+
+def family_entry(name: str, capability: str | None = None) -> Family:
+    """The table entry of ``name``, which must have ``capability`` (a field
+    of :class:`Family`) if one is named; else a ValueError."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    if capability and not getattr(FAMILIES[name], capability):
+        raise ValueError(f"family {name} has no {capability.replace('_', ' ')}")
+    return FAMILIES[name]
 
 
 def exponent_fit(points) -> tuple[float, float, float]:
@@ -100,23 +165,18 @@ def _sweep_n_max(beta: float) -> int:
     return max(int(math.ceil(32.0 / (1.0 - beta))), 256)
 
 
-_SCALING_FAMILIES = {"lerner": lerner_family, "alternating": alternating_family}
-
-
-def scaling_experiment(family: str, p: float, betas=None, n_max=None) -> ScalingReport:
+def scaling_experiment(family: str, p: float, betas=None) -> ScalingReport:
     """Sweep beta -> (fnorm, snorm lower bound, joint A_p, radial A_infty of
     both weights, residual ratio), with power-law fits in (1-beta)^-1."""
-    if family not in _SCALING_FAMILIES:
-        raise ValueError(f"family must be one of {sorted(_SCALING_FAMILIES)}")
+    make = family_entry(family, "scaling").make
     betas = default_beta_grid() if betas is None else np.sort(np.asarray(betas, dtype=float))
     if betas.size < 3:
         raise ValueError("need at least 3 grid points")
-    make = _SCALING_FAMILIES[family]
     cols = {k: np.empty(betas.size) for k in
             ("fnorm", "snorm", "ap_joint", "ainfty_w", "ainfty_sigma", "ratio")}
     for i, beta in enumerate(betas):
         inst = make(p, beta)
-        nm = _sweep_n_max(beta) if n_max is None else n_max
+        nm = _sweep_n_max(beta)
         snorm = weighted_snorm(inst.sigma_f, inst.w, p, n_max=nm,
                                tail_rel_tol=SWEEP_TAIL_TOL)
         ap = spine_joint_ap(inst.w, inst.sigma, p, nm).value
@@ -128,21 +188,19 @@ def scaling_experiment(family: str, p: float, betas=None, n_max=None) -> Scaling
         cols["ratio"][i] = snorm / (cols["fnorm"][i] * ap ** (1.0 / p))
     xs = 1.0 / (1.0 - betas)
     fits = {"snorm": _fit_tail(xs, cols["snorm"]), "ratio": _fit_tail(xs, cols["ratio"])}
-    return ScalingReport(family, p, "beta", betas, cols, fits,
+    return ScalingReport(family, p, betas, cols, fits,
                          notes=("fit window excludes the two smallest beta values",))
 
 
-def ainfty_growth_experiment(p: float, betas=None, depth_factor: float = 16.0) -> ScalingReport:
+def ainfty_growth_experiment(p: float, betas=None) -> ScalingReport:
     """Radial Fujii-Wilson A_infty of x^-beta (fitted growth) and of the dual
     companion x^(beta/(p-1)) (boundedness table) across the beta grid."""
     betas = default_beta_grid() if betas is None else np.sort(np.asarray(betas, dtype=float))
     if betas.size < 3:
         raise ValueError("need at least 3 grid points")
-    if depth_factor < 16.0:
-        raise ValueError(f"depth rule requires n_max >= 16/(1-beta), got factor {depth_factor}")
     cols = {k: np.empty(betas.size) for k in ("ainfty_w", "ainfty_sigma", "n_max")}
     for i, beta in enumerate(betas):
-        nm = int(math.ceil(depth_factor / (1.0 - beta)))
+        nm = int(math.ceil(GROWTH_DEPTH_FACTOR / (1.0 - beta)))
         cols["n_max"][i] = nm
         cols["ainfty_w"][i] = dyadic_ainfty(Power(1.0, -beta), mode="radial", n_max=nm).value
         cols["ainfty_sigma"][i] = dyadic_ainfty(
@@ -150,7 +208,7 @@ def ainfty_growth_experiment(p: float, betas=None, depth_factor: float = 16.0) -
     xs = 1.0 / (1.0 - betas)
     fits = {"ainfty_w": _fit_tail(xs, cols["ainfty_w"])}
     sig = cols["ainfty_sigma"]
-    return ScalingReport("power_weights", p, "beta", betas, cols, fits,
+    return ScalingReport("power_weights", p, betas, cols, fits,
                          notes=(f"sigma A_infty spread max/min = {sig.max() / sig.min():.6f}",))
 
 
@@ -159,8 +217,7 @@ def ainfty_growth_experiment(p: float, betas=None, depth_factor: float = 16.0) -
 
 
 def _log_spaced_ks(k_max: int, n_pts: int = 160) -> np.ndarray:
-    ks = np.unique(np.geomspace(1, k_max, n_pts).astype(np.int64))
-    return ks
+    return np.unique(np.geomspace(1, k_max, n_pts).astype(np.int64))
 
 
 def lai_treil_divergence(p: float, r: float, k_max: int) -> DivergenceReport:
@@ -262,25 +319,12 @@ def direct_sum_divergence(p: float, k_max: int = 10 ** 4) -> DivergenceReport:
 
 def divergence_experiment(family: str, p: float, r: float | None = None,
                           k_max: int = 10 ** 4) -> DivergenceReport:
-    if family == "lai_treil":
-        return lai_treil_divergence(p, default_r(p) if r is None else r, k_max)
-    if family == "direct_sum":
-        return direct_sum_divergence(p, k_max)
-    raise ValueError("family must be 'lai_treil' or 'direct_sum'")
+    fam = family_entry(family, "divergence")
+    return fam.divergence(p, k_max, **fam.resolve(p, r=r))
 
 
 # ---------------------------------------------------------------------------
 # extension to the line
-
-
-_EXTENSION_FAMILIES = {
-    "power_pair_i": lambda p, beta=0.5, **kw: power_pair(p, beta, "i"),
-    "power_pair_ii": lambda p, beta=0.5, **kw: power_pair(p, beta, "ii"),
-    "lai_treil": lambda p, r=None, **kw: lai_treil_family(p, default_r(p) if r is None else r),
-    "direct_sum": lambda p, **kw: direct_sum_family(p),
-    "constant": lambda p, **kw: FamilyInstance(
-        "constant", p, {}, Constant(1.0), Constant(1.0), None, None, None, {}),
-}
 
 
 def extension_experiment(family: str, p: float, span: int = 4,
@@ -288,10 +332,9 @@ def extension_experiment(family: str, p: float, span: int = 4,
     """Periodize a unit-interval pair to the line and scan the joint A_p
     characteristic at spans `span` and `2 * span` (one shared pass for even
     spans, see ``interval_scans_joint_ap``)."""
-    if family not in _EXTENSION_FAMILIES:
-        raise ValueError(f"family must be one of {sorted(_EXTENSION_FAMILIES)}")
-    inst = _EXTENSION_FAMILIES[family](p, **params)
-    ext = extend_to_line(inst)
+    fam = family_entry(family, "extension_x0")
+    inst = fam.make(p, **fam.resolve(p, **params))
+    ext = extend_to_line(inst, fam.extension_x0)
     scan1, scan2 = interval_scans_joint_ap(ext.w, ext.sigma, p, (span, 2 * span), grid_step)
     unit = dyadic_joint_ap(inst.w, inst.sigma, p, depth=12)
     return {
@@ -303,5 +346,4 @@ def extension_experiment(family: str, p: float, span: int = 4,
         "scan_max_doubled": scan2.value,
         "span_doubling_ratio": scan2.value / scan1.value,
         "unit_cell_dyadic": unit.value,
-        "extension_checks": ext.predicted.get("extension_checks", {}),
     }

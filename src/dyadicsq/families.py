@@ -1,10 +1,11 @@
 """Constructors for the example weight/test-function families.
 
 Each constructor returns a :class:`FamilyInstance` carrying the weight pair,
-the test function, the symbolically simplified product sigma*f and |f|^p*sigma
-(the two densities every downstream computation actually integrates), and the
-closed-form quantities the instance is predicted to realize.  Stored closed
-forms are re-verified by integration at construction time.
+the symbolically simplified products sigma*f and |f|^p*sigma of the test
+function (the two densities every downstream computation integrates; f itself
+is never needed), and the closed-form quantities the instance is predicted to
+realize.  Stored closed forms are re-verified by integration at construction
+time.
 """
 
 from __future__ import annotations
@@ -31,24 +32,6 @@ from .density import (
 _VERIFY_TOL = 1e-10
 
 
-class PointwiseDensity(Density):
-    """Pointwise-only wrapper for diagnostics (signed test functions whose
-    integrals are never needed directly; products with sigma are precomputed)."""
-
-    def __init__(self, fn, label: str):
-        self._fn = fn
-        self._label = label
-
-    def value(self, x):
-        return self._fn(np.asarray(x, dtype=float))
-
-    def primitive(self, t):
-        raise NotImplementedError(f"{self._label} is pointwise-only")
-
-    def __repr__(self):
-        return f"PointwiseDensity({self._label})"
-
-
 @dataclass(frozen=True)
 class FamilyInstance:
     name: str
@@ -56,7 +39,6 @@ class FamilyInstance:
     params: dict
     w: Density
     sigma: Density
-    f: Density | None
     sigma_f: Density | None
     fnorm_p_density: Density | None
     predicted: dict = field(default_factory=dict)
@@ -76,23 +58,22 @@ def _verify_fnorm(inst: FamilyInstance) -> None:
         )
 
 
-def _check_beta(beta: float) -> None:
+def _check_p_beta(p: float, beta: float) -> None:
+    if p <= 1.0:
+        raise ValueError("p must be > 1")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def lerner_family(p: float, beta: float) -> FamilyInstance:
     """sigma = x^-beta, w = x^(beta(p-1)), f = 1_[0,1)."""
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    _check_beta(beta)
+    _check_p_beta(p, beta)
     inst = FamilyInstance(
         name="lerner",
         p=p,
         params={"beta": beta},
         w=Power(1.0, beta * (p - 1.0)),
         sigma=Power(1.0, -beta),
-        f=Constant(1.0),
         sigma_f=Power(1.0, -beta),
         fnorm_p_density=Power(1.0, -beta),
         predicted={
@@ -112,9 +93,7 @@ def alternating_family(p: float, beta: float) -> FamilyInstance:
 
     The sharpness claim needs p > 2; the constructor itself allows any p > 1.
     """
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    _check_beta(beta)
+    _check_p_beta(p, beta)
     g = beta / (p - 1.0)
     inst = FamilyInstance(
         name="alternating",
@@ -122,7 +101,6 @@ def alternating_family(p: float, beta: float) -> FamilyInstance:
         params={"beta": beta},
         w=Power(1.0, -beta),
         sigma=Power(1.0, g),
-        f=SignModulate(Power(1.0, -g)),
         sigma_f=SignModulate(Constant(1.0)),
         fnorm_p_density=Power(1.0, -beta),
         predicted={
@@ -144,9 +122,7 @@ def power_pair(p: float, beta: float, variant: str) -> FamilyInstance:
     variant "i":  w = x^-beta, sigma = x^(beta/(p-1)), joint A_p ~ (1-beta)^-1;
     variant "ii": sigma = x^-beta, w = x^(beta(p-1)), joint A_p ~ (1-beta)^(1-p).
     """
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    _check_beta(beta)
+    _check_p_beta(p, beta)
     if variant == "i":
         w, sigma = Power(1.0, -beta), Power(1.0, beta / (p - 1.0))
         predicted = {
@@ -167,7 +143,6 @@ def power_pair(p: float, beta: float, variant: str) -> FamilyInstance:
         params={"beta": beta},
         w=w,
         sigma=sigma,
-        f=None,
         sigma_f=None,
         fnorm_p_density=None,
         predicted=predicted,
@@ -187,20 +162,12 @@ def lai_treil_family(p: float, r: float) -> FamilyInstance:
     alpha = 2.0 * r - 1.0
     g = 1.0 / (p - 1.0)
 
-    def f_value(x):
-        pos = (x > 0) & (x < 1)
-        xs = np.where(pos, x, 0.5)
-        n = np.floor(-np.log2(xs))
-        mag = xs ** (-g) * (1.0 - np.log2(xs)) ** (-r)
-        return np.where(x == 0, 1.0, np.where(pos, (-1.0) ** n * mag, 0.0))
-
     inst = FamilyInstance(
         name="lai_treil",
         p=p,
         params={"r": r, "alpha": alpha},
         w=LogPowerOverX(1.0, 1.0 - alpha),
         sigma=Power(1.0, g),
-        f=PointwiseDensity(f_value, "lai_treil f"),
         sigma_f=SignModulate(LogPowerPlain(r)),
         fnorm_p_density=LogPowerOverX(1.0, p * r),
         predicted={
@@ -279,7 +246,6 @@ def direct_sum_family(p: float, reflected: bool = True) -> FamilyInstance:
         params={"reflected": reflected},
         w=PiecewiseDyadic(w_piece, "direct_sum w"),
         sigma=PiecewiseDyadic(sigma_piece, "direct_sum sigma"),
-        f=None,
         sigma_f=PiecewiseDyadic(sigma_f_piece, "direct_sum sigma*f"),
         fnorm_p_density=PiecewiseDyadic(fnorm_piece, "direct_sum |f|^p sigma"),
         predicted={
@@ -301,14 +267,16 @@ def direct_sum_family(p: float, reflected: bool = True) -> FamilyInstance:
 # ---------------------------------------------------------------------------
 # extension to the line
 
-_DEFAULT_X0 = {"direct_sum": 0.75, "lai_treil": 0.5}
+#: Spine depths k, l = 0.._K_GRID probed for hypothesis (ii), whose max ratio
+#: is compared with that of the half grid.
+_K_GRID = 40
 
 
 class ExtensionHypothesisError(ValueError):
     """The Lemma-style extension hypotheses failed on the probed grid."""
 
 
-def check_extension_hypotheses(inst: FamilyInstance, x0: float, k_grid: int = 40) -> dict:
+def check_extension_hypotheses(inst: FamilyInstance, x0: float) -> dict:
     """Numerical check of the extension hypotheses for a [0,1) pair.
 
     (ii) w(I_k) sigma(I_l)^(p-1) bounded by a constant times (|I_k|+|I_l|)^p:
@@ -316,12 +284,12 @@ def check_extension_hypotheses(inst: FamilyInstance, x0: float, k_grid: int = 40
     (iii) both weights bounded on [x0, 1).
     """
     p = inst.p
-    ks = np.arange(0, k_grid + 1)
+    ks = np.arange(0, _K_GRID + 1)
     wm = np.array([inst.w.spine_mass(int(k)) for k in ks])
     sm = np.array([inst.sigma.spine_mass(int(k)) for k in ks])
     lens = 0.5 ** ks
     ratios = wm[:, None] * sm[None, :] ** (p - 1.0) / (lens[:, None] + lens[None, :]) ** p
-    half = ratios[: k_grid // 2 + 1, : k_grid // 2 + 1]
+    half = ratios[: _K_GRID // 2 + 1, : _K_GRID // 2 + 1]
     full_max, half_max = float(ratios.max()), float(half.max())
     if full_max > 1.05 * half_max:
         k, l = np.unravel_index(np.argmax(ratios), ratios.shape)
@@ -337,11 +305,10 @@ def check_extension_hypotheses(inst: FamilyInstance, x0: float, k_grid: int = 40
     return {"hyp2_max_ratio": full_max, "x0": x0, "w_bound": wb, "sigma_bound": sb}
 
 
-def extend_to_line(inst: FamilyInstance, x0: float | None = None) -> FamilyInstance:
+def extend_to_line(inst: FamilyInstance, x0: float = 0.5) -> FamilyInstance:
     """Reflective periodization of a [0,1) pair to R (period 2, symmetric about
-    every integer), after checking the extension hypotheses."""
-    if x0 is None:
-        x0 = _DEFAULT_X0.get(inst.name, 0.5)
+    every integer), after checking the extension hypotheses with hypothesis
+    (iii) on [x0, 1)."""
     if not 0.5 <= x0 < 1.0:
         raise ValueError("x0 must lie in [1/2, 1)")
     checks = check_extension_hypotheses(inst, x0)
@@ -353,7 +320,6 @@ def extend_to_line(inst: FamilyInstance, x0: float | None = None) -> FamilyInsta
         params=dict(inst.params),
         w=PeriodicReflect(inst.w),
         sigma=PeriodicReflect(inst.sigma),
-        f=inst.f,
         sigma_f=inst.sigma_f,
         fnorm_p_density=inst.fnorm_p_density,
         predicted=predicted,

@@ -19,6 +19,13 @@ from .dyadic import DyadicInterval, children
 
 _LD = np.longdouble
 
+#: Deepest full tree (square function, A_infty, CLI characteristics): each
+#: full-tree oracle sweeps its 2^20 leaves in under a second.
+FULL_TREE_MAX_DEPTH = 20
+
+#: Deepest ``level_averages``: 2^24 leaves, 128 MiB per array of them.
+_LEVEL_MAX_DEPTH = 24
+
 
 class TailNotCertifiedError(RuntimeError):
     """A series tail could not be bounded by a geometric majorant."""
@@ -89,8 +96,8 @@ def spine_profile(g: Density, n_max: int) -> SpineProfile:
 
 def level_averages(g: Density, depth: int) -> list[np.ndarray]:
     """Averages of g over every dyadic interval of level 0..depth."""
-    if depth > 24:
-        raise ValueError("full-tree depth capped at 24")
+    if depth > _LEVEL_MAX_DEPTH:
+        raise ValueError(f"full-tree depth capped at {_LEVEL_MAX_DEPTH}")
     edges = np.arange(2 ** depth + 1, dtype=float) / 2 ** depth
     prim = np.asarray(g.primitive(edges), dtype=float)
     masses = np.diff(prim)
@@ -105,8 +112,8 @@ def level_averages(g: Density, depth: int) -> list[np.ndarray]:
 
 def full_square_function(g: Density, depth: int) -> PiecewiseLeafFunction:
     """Leaf values of (sum of squared Delta_Q over ancestors with level < depth)^(1/2)."""
-    if depth > 20:
-        raise ValueError("full-tree depth capped at 20")
+    if depth > FULL_TREE_MAX_DEPTH:
+        raise ValueError(f"full-tree depth capped at {FULL_TREE_MAX_DEPTH}")
     avgs = level_averages(g, depth)
     acc = np.zeros(2 ** depth)
     for lev in range(1, depth + 1):
@@ -193,12 +200,3 @@ def partial_mass_profile(prof: SpineProfile, w: Density, p: float, ks) -> np.nda
         out[i] = float(prof.left_squares[k] ** (p / 2.0)) * w.spine_mass(int(k))
     return out
 
-
-def partial_mass(fsigma: Density, w: Density, p: float, k: int,
-                 n_max: int | None = None) -> float:
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    prof = spine_profile(fsigma, n_max if n_max is not None else k)
-    return float(partial_mass_profile(prof, w, p, [k])[0])

@@ -18,11 +18,10 @@ from dyadicsq.characteristics import (
     dyadic_joint_ap,
     interval_scan_joint_ap,
     interval_scans_joint_ap,
-    muckenhoupt_ap,
     spine_joint_ap,
     spine_joint_ap_values,
 )
-from dyadicsq.density import Constant, Density, PeriodicReflect, Power, dual_power
+from dyadicsq.density import Constant, Density, PeriodicReflect, Power
 
 
 def test_estimate_rejects_negative():
@@ -40,6 +39,7 @@ def test_joint_ap_power_pair_bracket():
     # w = x^-beta, sigma = x^(beta/(p-1)), beta = 1/2, p = 2
     est = dyadic_joint_ap(Power(1.0, -0.5), Power(1.0, 0.5), 2.0, 16)
     assert 2.0 / math.e <= est.value <= 2.0 + 1e-12
+    assert est.value >= 1.0 - 1e-10  # every A_p characteristic is at least 1
 
 
 def test_joint_ap_monotone_in_depth():
@@ -68,22 +68,13 @@ def test_spine_product_general_closed_form():
             assert 1.0 / math.e <= want * (1.0 - beta) <= 1.0
 
 
-def test_muckenhoupt_constant():
-    assert muckenhoupt_ap(Constant(1.0), 2.0, 8).value == pytest.approx(1.0, rel=1e-12)
-
-
-def test_muckenhoupt_power_bracket():
-    est = muckenhoupt_ap(Power(1.0, -0.5), 2.0, 16)
-    assert 2.0 / math.e - 1e-12 <= est.value <= 2.0 + 1e-12
-    assert est.value >= 1.0 - 1e-10
-
-
 def test_muckenhoupt_duality():
+    # [w]_{A_p} = [sigma]_{A_p'}^(p-1) for w and its dual weight sigma = w^(-1/(p-1))
     p, beta = 3.0, 0.6
     w = Power(1.0, beta * (p - 1.0))
-    sigma = dual_power(w, p)
+    sigma = Power(1.0, -beta)
     pp = p / (p - 1.0)
-    direct = muckenhoupt_ap(w, p, 14).value
+    direct = dyadic_joint_ap(w, sigma, p, 14).value
     swapped = dyadic_joint_ap(sigma, w, pp, 14).value ** (p - 1.0)
     assert direct == pytest.approx(swapped, rel=1e-9)
 
@@ -388,10 +379,12 @@ _FAMILY_PS = {"lai_treil": (2.5, 3.0, 4.0), "power_pair_i": _ALL_PS, "power_pair
 
 @functools.cache
 def _extended(family, p):
-    from dyadicsq.experiments import _EXTENSION_FAMILIES
+    from dyadicsq.experiments import FAMILIES
     from dyadicsq.families import extend_to_line
 
-    return extend_to_line(_EXTENSION_FAMILIES[family](p))
+    fam = FAMILIES[family]
+    params = {"beta": 0.5} if "beta" in fam.params else {}
+    return extend_to_line(fam.make(p, **fam.resolve(p, **params)), fam.extension_x0)
 
 
 # the constant pair cannot be pruned (every candidate ties), so one grid only

@@ -13,6 +13,7 @@ from dyadicsq.cli import (
     EXIT_USAGE,
     run,
 )
+from dyadicsq.experiments import FAMILIES, default_r
 
 
 def _read(path):
@@ -244,13 +245,13 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_start_up_and_small_commands_load_no_scipy(tmp_path):
-    # scipy is most of the start-up time; only the off-zero quadrature and
-    # the direct-sum divergence import it, when they are called
+    # scipy is most of the start-up time; only the off-zero LogPowerPlain
+    # quadrature and the direct-sum divergence import it, when they are called
     assert _fresh_python(_SCIPY_FREE, str(tmp_path)).strip() == "[]"
 
 
 def test_the_paths_that_import_scipy_give_the_same_values(tmp_path):
-    from dyadicsq.density import LogPowerPlain, Power, quadrature_integrate
+    from dyadicsq.density import LogPowerPlain
 
     ds = ["divergence", "--family", "direct_sum", "--p", "4", "--k-max", "1000", "--no-timestamp"]
     assert run([*ds, "--out", str(tmp_path / "here.csv")]) == EXIT_OK
@@ -261,6 +262,115 @@ def test_the_paths_that_import_scipy_give_the_same_values(tmp_path):
     got = _fresh_python("from dyadicsq.density import LogPowerPlain; "
                         "print(LogPowerPlain(0.4).integrate(0.25, 0.5).hex())")
     assert float.fromhex(got) == LogPowerPlain(0.4).integrate(0.25, 0.5)
-    got = _fresh_python("from dyadicsq.density import Power, quadrature_integrate; "
-                        "print(quadrature_integrate(Power(1.0, -0.5), 0.25, 0.5).hex())")
-    assert float.fromhex(got) == quadrature_integrate(Power(1.0, -0.5), 0.25, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# every family against every subcommand, from the family table
+
+
+# the capability each subcommand needs of its family, and its flags at small sizes
+_SUBCOMMANDS = {
+    "characteristics": (None, ["--depth", "6"]),
+    "square-function": ("test_function", ["--n-max", "256"]),
+    "scaling": ("scaling", ["--beta-grid", "j=3..5"]),
+    "divergence": ("divergence", ["--k-max", "1000"]),
+    "extension-check": ("extension_x0", ["--span", "1", "--grid-log2", "6"]),
+}
+# the parameter flags each subcommand has, and a value each family accepts
+_PARAM_FLAGS = {"characteristics": ("beta", "r"), "square-function": ("beta", "r"),
+                "scaling": (), "divergence": ("r",), "extension-check": ("beta", "r")}
+_PARAM_VALUES = {"beta": "0.5", "r": "0.4"}
+
+
+@pytest.mark.parametrize("command, family", [(c, f) for c in _SUBCOMMANDS for f in FAMILIES])
+def test_every_subcommand_with_every_family(tmp_path, capsys, command, family):
+    capability, flags = _SUBCOMMANDS[command]
+    fam = FAMILIES[family]
+    params = [a for k in fam.params if k in _PARAM_FLAGS[command]
+              for a in (f"--{k}", _PARAM_VALUES[k])]
+    out = tmp_path / "x.csv"
+    code = run([command, "--family", family, "--p", "3", *params, *flags,
+                "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    if capability and not getattr(fam, capability):
+        assert code == EXIT_PRECONDITION
+        assert f'message="family {family} has no {capability.replace("_", " ")}"' in err
+        assert not out.exists()
+    elif command == "square-function" and fam.divergence:
+        # the divergence examples: S(sigma f) is not in L^p(w), so no tail certifies
+        assert code == EXIT_UNCERTIFIED and "# error code=4" in err
+        assert not out.exists()
+    else:
+        assert code == EXIT_OK, err
+        assert f"# family: {family}" in _read(out)
+
+
+def test_characteristics_of_the_constant_pair_are_one(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(["characteristics", "--family", "constant", "--p", "3", "--depth", "8",
+                "--out", str(out), "--no-timestamp"]) == EXIT_OK
+    row = _read(out).strip().split("\n")[-1]
+    assert [float(v) for v in row.split(",")] == pytest.approx([1.0] * 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["characteristics", "--family", "lai_treil", "--beta", "0.5", "--depth", "6"], "beta"),
+    (["square-function", "--family", "lerner", "--beta", "0.5", "--r", "0.3"], "r"),
+    (["extension-check", "--family", "direct_sum", "--beta", "0.9", "--span", "1",
+      "--grid-log2", "6"], "beta"),
+    (["divergence", "--family", "direct_sum", "--r", "0.4", "--k-max", "1000"], "r"),
+])
+def test_a_parameter_the_family_does_not_take_exits_3(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--p", "3", "--out", str(out), "--no-timestamp"]) == EXIT_PRECONDITION
+    assert (f'# error code=3 type=ValueError message="family {argv[2]} takes no --{flag}"'
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["characteristics", "--family", "power_pair_i", "--depth", "6"],
+    ["square-function", "--family", "lerner"],
+    ["extension-check", "--family", "power_pair_i", "--span", "1", "--grid-log2", "6"],
+])
+def test_a_missing_beta_exits_3_in_every_subcommand(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--p", "3", "--out", str(out), "--no-timestamp"]) == EXIT_PRECONDITION
+    assert (f'# error code=3 type=ValueError message="family {argv[2]} requires --beta"'
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["characteristics", "--family", "lai_treil", "--depth", "6"],
+    ["extension-check", "--family", "lai_treil", "--span", "1", "--grid-log2", "6"],
+    ["divergence", "--family", "lai_treil", "--k-max", "1000"],
+])
+def test_the_default_r_is_written_and_is_the_r_used(tmp_path, argv):
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    r = default_r(3.0)
+    assert run([*argv, "--p", "3", "--out", str(default), "--no-timestamp"]) == EXIT_OK
+    assert f"# r: {r:.17g}" in _read(default).split("\n")
+    assert run([*argv, "--p", "3", "--r", f"{r:.17g}", "--out", str(explicit),
+                "--no-timestamp"]) == EXIT_OK
+    assert _read(default) == _read(explicit)
+
+
+def test_the_readme_family_table_is_the_family_table():
+    from fractions import Fraction
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    rows = {}
+    for line in lines:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 + len(_SUBCOMMANDS) and cells[0].strip("`") in FAMILIES:
+            rows[cells[0].strip("`")] = cells
+    assert sorted(rows) == sorted(FAMILIES)
+    for name, (_, params, *supported) in rows.items():
+        fam = FAMILIES[name]
+        assert [k for k in ("beta", "r") if f"--{k}" in params] == list(fam.params)
+        for cell, (capability, _) in zip(supported, _SUBCOMMANDS.values()):
+            assert cell.startswith("yes") == (capability is None or bool(getattr(fam, capability)))
+        if fam.extension_x0 is not None:
+            assert Fraction(supported[-1].split("x0 = ")[1]) == fam.extension_x0

@@ -5,6 +5,7 @@ import pytest
 
 from dyadicsq.density import Constant, Power, SignModulate
 from dyadicsq.experiments import (
+    FAMILIES,
     default_beta_grid,
     default_r,
     direct_sum_block_snorm_p,
@@ -79,8 +80,6 @@ def test_ainfty_growth():
     assert rep.fits["ainfty_w"].slope == pytest.approx(1.0, abs=0.1)
     sig = rep.columns["ainfty_sigma"]
     assert sig.max() / sig.min() <= 1.25
-    with pytest.raises(ValueError):
-        ainfty_growth_experiment(3.0, depth_factor=4.0)
 
 
 def test_direct_sum_block_identity():
@@ -147,3 +146,24 @@ def test_extension_lai_treil_case_a_floor():
 def test_extension_unknown_family():
     with pytest.raises(ValueError):
         extension_experiment("lerner", 3.0)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_the_table_declares_what_each_instance_carries(name):
+    fam = FAMILIES[name]
+    inst = fam.make(3.0, **fam.resolve(3.0, beta=0.5 if "beta" in fam.params else None))
+    assert inst.name == name
+    assert (inst.sigma_f is not None) == fam.test_function
+    assert set(fam.params) <= {"beta", "r"}  # the CLI's --beta and --r
+
+
+def test_the_experiments_check_parameters_against_the_table():
+    with pytest.raises(ValueError, match="power_pair_i requires --beta"):
+        extension_experiment("power_pair_i", 3.0, span=1, grid_step=2.0 ** -6)
+    with pytest.raises(ValueError, match="direct_sum takes no --beta"):
+        extension_experiment("direct_sum", 3.0, span=1, grid_step=2.0 ** -6, beta=0.9)
+    with pytest.raises(ValueError, match="direct_sum takes no --r"):
+        divergence_experiment("direct_sum", 3.0, r=0.4, k_max=1000)
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        divergence_experiment("nope", 3.0)
+    assert divergence_experiment("lai_treil", 3.0, k_max=100).params["r"] == default_r(3.0)

@@ -47,12 +47,14 @@ def test_alternating_closed_forms():
 
 
 def test_alternating_magnitude_matches_lerner():
-    # |f|^p sigma collapses to x^-beta, the lerner integrand
+    # |f|^p sigma collapses to x^-beta, the lerner integrand, for the
+    # alternating f = (-1)^floor(-log2 x) x^(-beta/(p-1))
     p, beta = 3.0, 0.7
     alt = alternating_family(p, beta)
     ler = lerner_family(p, beta)
+    f = SignModulate(Power(1.0, -beta / (p - 1.0)))
     xs = np.linspace(0.01, 0.99, 199)
-    got = np.abs(np.asarray(alt.f.value(xs))) ** p * np.asarray(alt.sigma.value(xs))
+    got = np.abs(np.asarray(f.value(xs))) ** p * np.asarray(alt.sigma.value(xs))
     np.testing.assert_allclose(got, np.asarray(ler.fnorm_p_density.value(xs)), rtol=1e-11)
 
 
@@ -90,10 +92,12 @@ def test_lai_treil_closed_forms():
     assert inst.fnorm_p_density.integrate(0.0, 1.0) == pytest.approx(5.0 * LN2, rel=1e-11)
     assert inst.predicted["w_spine_mass"](0) == pytest.approx(5.0 * LN2, rel=1e-13)
     assert inst.w.spine_mass(0) == pytest.approx(5.0 * LN2, rel=1e-12)
-    # f itself is exposed pointwise: check the sign pattern and magnitude
-    x = 0.3  # J_2, sign -1
-    want = -(x ** (-0.5)) * (1.0 - math.log2(x)) ** -0.4
-    assert float(np.asarray(inst.f.value(x))) == pytest.approx(want, rel=1e-12)
+    # sigma*f is sigma times the pointwise f = (-1)^floor(-log2 x) x^(-1/(p-1)) (1 - log2 x)^-r
+    xs = np.linspace(0.01, 0.99, 199)
+    f = (-1.0) ** np.floor(-np.log2(xs)) * xs ** -0.5 * (1.0 - np.log2(xs)) ** -0.4
+    assert f[np.searchsorted(xs, 0.3)] < 0.0  # J_2 has sign -1
+    np.testing.assert_allclose(np.asarray(inst.sigma_f.value(xs)),
+                               np.asarray(inst.sigma.value(xs)) * f, rtol=1e-12)
 
 
 def test_lai_treil_case_a_product():
@@ -177,15 +181,17 @@ def test_extend_to_line_reflects():
 
 
 def test_extend_to_line_x0_defaults():
+    from dyadicsq.experiments import FAMILIES
+
     assert extend_to_line(lai_treil_family(3.0, 0.4)).predicted["extension_checks"]["x0"] == 0.5
-    assert extend_to_line(direct_sum_family(3.0)).predicted["extension_checks"]["x0"] == 0.75
+    x0 = FAMILIES["direct_sum"].extension_x0
+    assert extend_to_line(direct_sum_family(3.0), x0).predicted["extension_checks"]["x0"] == 0.75
     with pytest.raises(ValueError):
         extend_to_line(power_pair(2.0, 0.5, "i"), x0=0.25)
 
 
 def test_extension_hypothesis_failure_detected():
     # a deliberately unmatched pair: both weights singular, ratio grows in k
-    bad = FamilyInstance("bad", 2.0, {}, Power(1.0, -0.9), Power(1.0, -0.9),
-                         None, None, None, {})
+    bad = FamilyInstance("bad", 2.0, {}, Power(1.0, -0.9), Power(1.0, -0.9), None, None, {})
     with pytest.raises(ExtensionHypothesisError):
         check_extension_hypotheses(bad, 0.5)

@@ -12,7 +12,6 @@ from dyadicsq.squarefn import (
     full_square_function,
     level_averages,
     martingale_difference,
-    partial_mass,
     partial_mass_profile,
     spine_profile,
     weighted_snorm,
@@ -155,7 +154,8 @@ def test_tail_not_certified():
 
 
 def test_partial_mass_constant_zero():
-    assert partial_mass(Constant(1.0), Power(1.0, -0.5), 3.0, 5) == 0.0
+    prof = spine_profile(Constant(1.0), 5)
+    assert partial_mass_profile(prof, Power(1.0, -0.5), 3.0, [5])[0] == 0.0
 
 
 def test_partial_mass_monotone_and_positive():
