@@ -39,7 +39,6 @@ def test_joint_ap_power_pair_bracket():
     # w = x^-beta, sigma = x^(beta/(p-1)), beta = 1/2, p = 2
     est = dyadic_joint_ap(Power(1.0, -0.5), Power(1.0, 0.5), 2.0, 16)
     assert 2.0 / math.e <= est.value <= 2.0 + 1e-12
-    assert est.value >= 1.0 - 1e-10  # every A_p characteristic is at least 1
 
 
 def test_joint_ap_monotone_in_depth():
@@ -66,6 +65,18 @@ def test_spine_product_general_closed_form():
             np.testing.assert_allclose(vals, want, rtol=1e-10)
             # the second factor always lies in [1/e, 1]
             assert 1.0 / math.e <= want * (1.0 - beta) <= 1.0
+
+
+def test_muckenhoupt_constant():
+    # [w]_{A_p} is the joint characteristic of w and its dual weight w^(-1/(p-1))
+    assert dyadic_joint_ap(Constant(1.0), Constant(1.0), 2.0, 8).value == \
+        pytest.approx(1.0, rel=1e-12)
+
+
+def test_muckenhoupt_power_bracket():
+    est = dyadic_joint_ap(Power(1.0, -0.5), Power(1.0, 0.5), 2.0, 16)
+    assert 2.0 / math.e - 1e-12 <= est.value <= 2.0 + 1e-12
+    assert est.value >= 1.0 - 1e-10
 
 
 def test_muckenhoupt_duality():
