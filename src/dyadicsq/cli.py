@@ -1,12 +1,12 @@
 """Command-line front end: experiment dispatch and CSV emission.
 
 Every ``--family`` is checked against ``experiments.FAMILIES``: the family
-must support the subcommand (square-function needs a test function, scaling a
-beta sweep, divergence a divergence table, extension-check a line extension),
-and ``--beta`` and ``--r`` must be the parameters it takes.  A parameter left
-out takes its default (lai_treil's r), and the CSV metadata records the value
-used.  An unknown family, an unsupported subcommand, a parameter the family
-does not take and a missing one without a default all exit 3.
+must support the subcommand (square-function needs a test function of finite
+snorm, scaling a beta sweep, divergence a divergence table, extension-check a
+line extension), and ``--beta`` and ``--r`` must be the parameters it takes.
+A parameter left out takes its default (lai_treil's r), and the CSV metadata
+records the value used.  An unknown family, an unsupported subcommand, and a
+parameter the family does not take or lacks (without a default) all exit 3.
 
 Exit codes: 0 success, 2 usage error, 3 parameter/precondition failure,
 4 uncertified series tail, 5 I/O failure, 6 internal check failed (a failed
@@ -136,6 +136,7 @@ def _cmd_characteristics(args) -> None:
 
 def _cmd_square_function(args) -> None:
     fam, params = _family(args, "test_function")
+    family_entry(args.family, "finite_snorm")  # lai_treil, direct_sum: S(sigma f) not in L^p(w)
     inst = fam.make(args.p, **params)
     if args.n_max < 4:
         raise ValueError("n-max must be >= 4")

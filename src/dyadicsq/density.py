@@ -12,13 +12,14 @@ Conventions:
   an antiderivative (:class:`ShellwiseDensity`) it is the mass below the point's
   shell, cached per instance and shell, plus a vectorized partial shell;
 * ``spine_averages(n_max)`` returns the averages over I_k = [0, 2^-k) and over
-  the shells J_n = [2^-n, 2^-(n-1)) as extended-precision arrays, which is the
-  workhorse for all deep spine computations; without a closed form
-  (:class:`ShellwiseDensity`) the I_k averages are the geometric suffix sums
-  <g>_{I_k} = sum_{m>=1} 2^-m <g>_{J_{k+m}} of the shell averages, cut after
-  ``_SUFFIX_TAPS`` = 128 shells; the dropped tail is about 2^-128 of the sum
-  for bounded shell averages and at most about 2^-64 for averages growing like
-  2^(n/p), p > 2, as those of the direct-sum sigma*f do;
+  the shells J_n = [2^-n, 2^-(n-1)) as read-only extended-precision arrays
+  (kept on the instance for the last n_max), the workhorse for all deep spine
+  computations; without a closed form (:class:`ShellwiseDensity`) the I_k
+  averages are the suffix sums <g>_{I_k} = sum_{m>=1} 2^-m <g>_{J_{k+m}}, cut
+  after ``_SUFFIX_TAPS`` = 128 shells and summed in mass form, bit for bit the
+  doubling tree for double shell averages (``_suffix_fold``); the dropped tail
+  is about 2^-128 of the sum for bounded shell averages and at most about
+  2^-64 for averages growing like 2^(n/p), p > 2 (the direct-sum sigma*f);
 * the shell averages of :class:`LogPowerPlain` are a 16-node Gauss-Legendre
   rule, summed node by node below shell 1024 and from there as its series in
   1/n, cut after 8 terms: the dropped terms are at most |binom(-s, 8)| n^-8
@@ -98,23 +99,28 @@ class Density:
     def spine_averages(self, n_max: int):
         """Averages (I_avg[0..n_max], J_avg[0..n_max]); J_avg[0] is nan.
 
-        Generic fallback goes through ``primitive`` and is limited to depths
-        where 2^-k is representable; leaves override with stable closed forms.
+        Read-only arrays, kept on the instance for the last n_max asked for:
+        the characteristics of one call build each weight's spine once.
         """
+        if (last := self.__dict__.get("_spine")) is None or last[0] != n_max:
+            for a in (spine := self._spine_averages(n_max)):
+                a.flags.writeable = False
+            self.__dict__["_spine"] = last = (n_max, spine)
+        return last[1]
+
+    def _spine_averages(self, n_max: int):
+        """Fresh spine averages; this generic fallback goes through ``primitive``
+        to depths where 2^-k is representable, leaves override with closed forms."""
         if n_max > _GENERIC_MAX_SPINE:
-            raise NonIntegrableError(
-                f"{type(self).__name__}: generic spine averages limited to depth {_GENERIC_MAX_SPINE}"
-            )
+            raise NonIntegrableError(f"{type(self).__name__}: generic spine averages "
+                                     f"limited to depth {_GENERIC_MAX_SPINE}")
         k = np.arange(n_max + 1)
         i_avg = _as_longdouble(self.primitive(np.ldexp(1.0, -k))) * np.exp2(_as_longdouble(k))
-        j_avg = np.empty(n_max + 1, dtype=_LD)
-        j_avg[0] = np.nan
-        j_avg[1:] = 2.0 * i_avg[:-1] - i_avg[1:]
-        return i_avg, j_avg
+        return i_avg, np.concatenate(([np.nan], 2.0 * i_avg[:-1] - i_avg[1:]))
 
     def _shell_avgs(self, n_hi: int):
-        """Extended-precision averages over J_1..J_{n_hi}."""
-        return self.spine_averages(n_hi)[1][1:]
+        """Extended-precision averages over J_1..J_{n_hi}, a fresh array."""
+        return self._spine_averages(n_hi)[1][1:]
 
     def log_shell_masses(self, n_max: int):
         """log of the shell masses |J_n|*<g>_{J_n}, n = 0..n_max (entry 0 is nan)."""
@@ -133,30 +139,50 @@ class Density:
         return float(self.primitive(0.5 ** k))
 
 
+#: Shells per block of the mass-form fold.  Its scalings reach 2^-(8192 + 127),
+#: where the least double 2^-1074 is still a normal extended-precision number
+#: (down to 2^-16382), so each is exact; a block of 133 KB stays in L2 cache.
+_FOLD_BLOCK = 8192
+
+
 def _suffix_fold(shells):
     """i[k] = sum_{m=1}^{T} 2^-m shells[k+m-1] for k = 0..len(shells) - T.
 
     With shells[n-1] = <g>_{J_n} this is <g>_{I_k} cut after T = _SUFFIX_TAPS
-    shells.  log2(T) doubling passes: after the pass of stride s every entry
-    holds the first 2s taps.
+    shells: the doubling tree i <- i[:-s] + 2^-s i[s:], s = 1, 2, .., T/2, from
+    i = shells/2, in mass form.  Block by block from shell b, shell j is scaled
+    once by 2^-(j-b+1), each pass adds in place, v[:L] += v[s:s+L], and output k
+    is scaled back by 2^(k-b): 9 extended-precision passes, not 15.  Scaling by
+    a power of two commutes with rounding while values stay normal, so each
+    output is the tree's float, bit for bit, for nonzero |shells| in
+    [2^-8000, 2^8000] (every double), ±0, ±inf and NaN.
     """
-    i = shells / 2
-    s = 1
-    while s < _SUFFIX_TAPS:
-        i = i[:-s] + i[s:] * _LD(0.5) ** s
-        s *= 2
-    return i
+    n = shells.size - _SUFFIX_TAPS + 1
+    down = np.full(min(n, _FOLD_BLOCK) + _SUFFIX_TAPS - 1, _LD(0.5)).cumprod()  # 2^-(j+1), exact
+    up = 0.5 / down[: min(n, _FOLD_BLOCK)]  # 2^j, exact
+    out, buf = np.empty(n, dtype=_LD), np.empty_like(down)
+    for b in range(0, n, _FOLD_BLOCK):
+        m = min(_FOLD_BLOCK, n - b)
+        width = m + _SUFFIX_TAPS - 1
+        v = np.multiply(shells[b : b + width], down[:width], out=buf[:width])
+        s = 1
+        while s < _SUFFIX_TAPS:
+            width -= s
+            v[:width] += v[s : s + width]
+            s *= 2
+        np.multiply(v[:m], up[:m], out=out[b : b + m])
+    return out
 
 
 class ShellwiseDensity(Density):
     """A density integrated shell by shell, for want of an antiderivative.
 
-    Subclasses supply ``_shell_avgs(n_hi)``, the extended-precision averages
-    over J_1..J_{n_hi}, and ``_partial``.  Spine averages are the suffix fold
-    of the shell averages, and the masses of [0, 2^-n) suffix sums of the
-    shell masses.  For t in J_n, ``primitive(t)`` is the mass below 2^-n plus
-    ``_partial``; those masses are cached on the instance, so each shell is
-    summed once however many points it holds.
+    Subclasses supply ``_partial`` and ``_shell_avgs(n_hi)``, the averages over
+    J_1..J_{n_hi} in a fresh extended-precision array the caller may write to.
+    Spine averages are the suffix fold of the shell averages, and the masses of
+    [0, 2^-n) suffix sums of the shell masses.  For t in J_n, ``primitive(t)``
+    is the mass below 2^-n plus ``_partial``; those masses are cached on the
+    instance, so each shell is summed once however many points it holds.
     """
 
     #: Deepest spine served.
@@ -166,15 +192,12 @@ class ShellwiseDensity(Density):
     def _below(self) -> dict[int, float]:
         return {}
 
-    def spine_averages(self, n_max: int):
+    def _spine_averages(self, n_max: int):
         if n_max > self._MAX_SPINE:
             raise NonIntegrableError(
                 f"{type(self).__name__}: spine depth limited to {self._MAX_SPINE}")
         shells = self._shell_avgs(n_max + _SUFFIX_TAPS)
-        j_avg = np.empty(n_max + 1, dtype=_LD)
-        j_avg[0] = np.nan
-        j_avg[1:] = shells[:n_max]
-        return _suffix_fold(shells), j_avg
+        return _suffix_fold(shells), np.concatenate(([np.nan], shells[:n_max]))
 
     def _masses_below(self, ns):
         """Masses of [0, 2^-n) for the shells ns: the _SUFFIX_TAPS shell masses
@@ -222,11 +245,9 @@ class Constant(Density):
     def primitive(self, t):
         return self.c * np.asarray(t, dtype=float)
 
-    def spine_averages(self, n_max: int):
+    def _spine_averages(self, n_max: int):
         i_avg = np.full(n_max + 1, _LD(self.c))
-        j_avg = np.full(n_max + 1, _LD(self.c))
-        j_avg[0] = np.nan
-        return i_avg, j_avg
+        return i_avg, np.concatenate(([np.nan], i_avg[1:]))
 
     def spine_mass(self, k: int) -> float:
         return self.c * 0.5 ** k if k <= _SPINE_MASS_MAX_DEPTH else 0.0
@@ -255,7 +276,7 @@ class Power(Density):
         g1 = self.gamma + 1.0
         return self.c * np.power(t, g1) / g1
 
-    def spine_averages(self, n_max: int):
+    def _spine_averages(self, n_max: int):
         k = _as_longdouble(np.arange(n_max + 1))
         g = _LD(self.gamma)
         scale = np.exp2(-g * k)  # 2^(-gamma*k)
@@ -316,14 +337,11 @@ class LogPowerOverX(Density):
         f = lambda t: -self.c * LN2 / alpha * _u(t) ** alpha
         return f(min(b, 1.0)) - f(a)
 
-    def spine_averages(self, n_max: int):
+    def _spine_averages(self, n_max: int):
         k = np.arange(n_max + 1)
         masses = _as_longdouble(self.c * LN2 / (self.s - 1.0) * (1.0 + k) ** (1.0 - self.s))
         i_avg = masses * np.exp2(_as_longdouble(k))
-        j_avg = np.empty(n_max + 1, dtype=_LD)
-        j_avg[0] = np.nan
-        j_avg[1:] = 2.0 * i_avg[:-1] - i_avg[1:]
-        return i_avg, j_avg
+        return i_avg, np.concatenate(([np.nan], 2.0 * i_avg[:-1] - i_avg[1:]))
 
     def log_shell_masses(self, n_max: int):
         n = np.arange(n_max + 1, dtype=float)
@@ -446,7 +464,7 @@ class Scale(Density):
     def integrate(self, a, b):
         return self.c * self.inner.integrate(a, b)
 
-    def spine_averages(self, n_max):
+    def _spine_averages(self, n_max):
         i_avg, j_avg = self.inner.spine_averages(n_max)
         return self.c * i_avg, self.c * j_avg
 
@@ -471,7 +489,7 @@ class SignModulate(ShellwiseDensity):
         return sign * self.inner.value(x)
 
     def _shell_avgs(self, n_hi: int):
-        j = self.inner._shell_avgs(n_hi).copy()
+        j = self.inner._shell_avgs(n_hi)
         j[1::2] *= -1
         return j
 

@@ -44,10 +44,10 @@ class DyadicInterval:
         return Fraction(self.index + 1, 2 ** self.level)
 
 
-def children(q: DyadicInterval, max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[DyadicInterval, DyadicInterval]:
+def children(q: DyadicInterval) -> tuple[DyadicInterval, DyadicInterval]:
     """Left and right halves of ``q``; they partition ``q`` exactly."""
-    if q.level >= max_depth:
-        raise DepthOverflowError(f"cannot subdivide below level {max_depth}")
+    if q.level >= DEFAULT_MAX_DEPTH:
+        raise DepthOverflowError(f"cannot subdivide below level {DEFAULT_MAX_DEPTH}")
     return (
         DyadicInterval(q.level + 1, 2 * q.index),
         DyadicInterval(q.level + 1, 2 * q.index + 1),

@@ -80,14 +80,15 @@ class DivergenceReport:
 class Family:
     """An example family: ``make(p, **params)`` builds it, and ``params`` maps
     each parameter to its default as a function of p (None: no default).  The
-    rest say which experiments apply: a test function, a beta sweep, a table
-    ``divergence(p, k_max, **params)``, a line extension from [extension_x0, 1).
-    """
+    rest say which experiments apply: a test function, a finite snorm (S(sigma f)
+    in L^p(w)), a beta sweep, a table ``divergence(p, k_max, **params)``, a line
+    extension from [extension_x0, 1)."""
 
     name: str
     make: Callable[..., FamilyInstance]
     params: dict = field(default_factory=dict)
     test_function: bool = False
+    finite_snorm: bool = False
     scaling: bool = False
     divergence: Callable[..., DivergenceReport] | None = None
     extension_x0: float | None = None
@@ -109,9 +110,9 @@ class Family:
 # tracer can rebind; a constructor held in a field could not be.
 FAMILIES = {f.name: f for f in (
     Family("lerner", lambda p, beta: lerner_family(p, beta), {"beta": None},
-           test_function=True, scaling=True),
+           test_function=True, finite_snorm=True, scaling=True),
     Family("alternating", lambda p, beta: alternating_family(p, beta), {"beta": None},
-           test_function=True, scaling=True),
+           test_function=True, finite_snorm=True, scaling=True),
     Family("power_pair_i", lambda p, beta: power_pair(p, beta, "i"), {"beta": None},
            extension_x0=0.5),
     Family("power_pair_ii", lambda p, beta: power_pair(p, beta, "ii"), {"beta": None},

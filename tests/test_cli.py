@@ -268,13 +268,14 @@ def test_the_paths_that_import_scipy_give_the_same_values(tmp_path):
 # every family against every subcommand, from the family table
 
 
-# the capability each subcommand needs of its family, and its flags at small sizes
+# the capabilities each subcommand needs of its family, in the order it checks
+# them, and its flags at small sizes
 _SUBCOMMANDS = {
-    "characteristics": (None, ["--depth", "6"]),
-    "square-function": ("test_function", ["--n-max", "256"]),
-    "scaling": ("scaling", ["--beta-grid", "j=3..5"]),
-    "divergence": ("divergence", ["--k-max", "1000"]),
-    "extension-check": ("extension_x0", ["--span", "1", "--grid-log2", "6"]),
+    "characteristics": ((), ["--depth", "6"]),
+    "square-function": (("test_function", "finite_snorm"), ["--n-max", "256"]),
+    "scaling": (("scaling",), ["--beta-grid", "j=3..5"]),
+    "divergence": (("divergence",), ["--k-max", "1000"]),
+    "extension-check": (("extension_x0",), ["--span", "1", "--grid-log2", "6"]),
 }
 # the parameter flags each subcommand has, and a value each family accepts
 _PARAM_FLAGS = {"characteristics": ("beta", "r"), "square-function": ("beta", "r"),
@@ -284,7 +285,7 @@ _PARAM_VALUES = {"beta": "0.5", "r": "0.4"}
 
 @pytest.mark.parametrize("command, family", [(c, f) for c in _SUBCOMMANDS for f in FAMILIES])
 def test_every_subcommand_with_every_family(tmp_path, capsys, command, family):
-    capability, flags = _SUBCOMMANDS[command]
+    capabilities, flags = _SUBCOMMANDS[command]
     fam = FAMILIES[family]
     params = [a for k in fam.params if k in _PARAM_FLAGS[command]
               for a in (f"--{k}", _PARAM_VALUES[k])]
@@ -292,17 +293,25 @@ def test_every_subcommand_with_every_family(tmp_path, capsys, command, family):
     code = run([command, "--family", family, "--p", "3", *params, *flags,
                 "--out", str(out), "--no-timestamp"])
     err = capsys.readouterr().err
-    if capability and not getattr(fam, capability):
+    # lai_treil and direct_sum, whose S(sigma f) is not in L^p(w), have a test
+    # function but no finite snorm: square-function exits 3 for them, not 4
+    if missing := [c for c in capabilities if not getattr(fam, c)]:
         assert code == EXIT_PRECONDITION
-        assert f'message="family {family} has no {capability.replace("_", " ")}"' in err
-        assert not out.exists()
-    elif command == "square-function" and fam.divergence:
-        # the divergence examples: S(sigma f) is not in L^p(w), so no tail certifies
-        assert code == EXIT_UNCERTIFIED and "# error code=4" in err
+        assert f'message="family {family} has no {missing[0].replace("_", " ")}"' in err
         assert not out.exists()
     else:
         assert code == EXIT_OK, err
         assert f"# family: {family}" in _read(out)
+
+
+@pytest.mark.parametrize("family", ["lai_treil", "direct_sum"])
+def test_square_function_refuses_a_divergent_family_at_any_tolerance(tmp_path, capsys, family):
+    # a tolerance of 0.5 used to "certify" a partial sum of the divergent series
+    out = tmp_path / "x.csv"
+    assert run(["square-function", "--family", family, "--p", "3", "--n-max", "8192",
+                "--tail-rel-tol", "0.5", "--out", str(out), "--no-timestamp"]) == EXIT_PRECONDITION
+    assert f'message="family {family} has no finite snorm"' in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_characteristics_of_the_constant_pair_are_one(tmp_path):
@@ -370,7 +379,7 @@ def test_the_readme_family_table_is_the_family_table():
     for name, (_, params, *supported) in rows.items():
         fam = FAMILIES[name]
         assert [k for k in ("beta", "r") if f"--{k}" in params] == list(fam.params)
-        for cell, (capability, _) in zip(supported, _SUBCOMMANDS.values()):
-            assert cell.startswith("yes") == (capability is None or bool(getattr(fam, capability)))
+        for cell, (capabilities, _) in zip(supported, _SUBCOMMANDS.values()):
+            assert cell.startswith("yes") == all(getattr(fam, c) for c in capabilities)
         if fam.extension_x0 is not None:
             assert Fraction(supported[-1].split("x0 = ")[1]) == fam.extension_x0

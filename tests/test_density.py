@@ -184,7 +184,7 @@ def test_point_zero_convention():
 def test_spine_averages_generic_vs_closed_form():
     g = Power(1.0, -0.5)
     i_cf, j_cf = g.spine_averages(40)
-    i_gen, j_gen = Density.spine_averages(g, 40)
+    i_gen, j_gen = Density._spine_averages(g, 40)
     np.testing.assert_allclose(np.asarray(i_cf[1:], float), np.asarray(i_gen[1:], float), rtol=1e-12)
     np.testing.assert_allclose(np.asarray(j_cf[1:], float), np.asarray(j_gen[1:], float), rtol=1e-11)
 
@@ -444,6 +444,102 @@ def test_primitive_at_powers_of_two_matches_the_tail_sum(name):
     for k in [*range(61), 1000]:
         want, size = _tail_summed_mass(g, k)
         assert abs(g.primitive(2.0 ** -k) - want) <= _TAPS * 2.0 ** -53 * size, k
+
+
+# ---------------------------------------------------------------------------
+# the mass-form fold against the doubling tree it replaced, bit for bit
+
+_BLOCK = 8192  # density._FOLD_BLOCK
+
+
+def _doubling_fold(shells):
+    """i <- i[:-s] + 2^-s i[s:], s = 1, 2, .., 64, from i = shells/2: the fold
+    as it was before its mass form."""
+    i = shells / 2
+    s = 1
+    while s < _TAPS:
+        i = i[:-s] + i[s:] * np.longdouble(0.5) ** s
+        s *= 2
+    return i
+
+
+def _same_floats(a, b):
+    """Equal float for float: NaN where NaN, and the sign of each zero."""
+    return (a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_SPECIALS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                      2.0 ** -1022, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+def _fold_input(size, seed, signs, specials):
+    """Doubles over the whole exponent range, subnormals included, with the
+    given signs and a share of specials, as extended-precision shells."""
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1074, 1024, size))
+    if signs == "alternating":
+        x[1::2] *= -1
+    elif signs == "random":
+        x *= rng.choice([-1.0, 1.0], size)
+    at = rng.random(size) < specials
+    x[at] = rng.choice(_SPECIALS, int(at.sum()))
+    return x.astype(np.longdouble)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(_TAPS, 3 * _BLOCK + 2 * _TAPS), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["positive", "alternating", "random"]), st.sampled_from([0.0, 1e-3, 0.3]))
+@example(_TAPS, 0, "alternating", 0.3)  # one output
+@example(_BLOCK + _TAPS - 1, 1, "random", 1e-3)  # one whole block
+@example(_BLOCK + _TAPS, 2, "alternating", 0.0)  # and one output in the next
+@example(3 * _BLOCK + _TAPS + 1, 3, "positive", 1e-3)
+def test_the_mass_form_fold_is_the_doubling_tree_bit_for_bit(size, seed, signs, specials):
+    from dyadicsq.density import _suffix_fold
+
+    shells = _fold_input(size, seed, signs, specials)
+    kept = shells.copy()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got, want = _suffix_fold(shells), _doubling_fold(shells)
+    assert got.size == size - _TAPS + 1 and _same_floats(got, want)
+    assert _same_floats(shells, kept)
+
+
+def test_a_deep_signed_log_power_spine_is_the_doubling_tree_bit_for_bit():
+    g = SignModulate(LogPowerPlain(0.4))
+    i_avg, j_avg = g.spine_averages(10 ** 6)
+    shells = _ref_shell_avgs(g, 10 ** 6 + _TAPS)
+    assert _same_floats(i_avg, _doubling_fold(shells))
+    assert _same_floats(j_avg[1:], shells[: 10 ** 6])
+
+
+@pytest.mark.parametrize("inner", [Constant(2.0), Power(1.0, -0.5), LogPowerOverX(1.0, 1.2),
+                                   LogPowerPlain(0.4), Scale(3.0, Power(1.0, 0.25))],
+                         ids=repr)
+def test_sign_modulate_leaves_its_inner_arrays_unchanged(inner):
+    # SignModulate negates its inner's shell averages in place, so the inner
+    # must hand out a fresh array, never its kept spine
+    n_hi = 300 + _TAPS
+    spine = inner.spine_averages(n_hi)
+    kept = [a.copy() for a in spine]
+    shells = inner._shell_avgs(n_hi).copy()
+    SignModulate(inner).spine_averages(300)
+    assert inner.spine_averages(n_hi) is spine
+    assert all(_same_floats(a, b) for a, b in zip(spine, kept))
+    assert _same_floats(inner._shell_avgs(n_hi), shells)
+
+
+def test_spine_averages_are_read_only_and_built_once_per_n_max(monkeypatch):
+    calls = _count_calls(monkeypatch, "_spine_averages", (Power,))
+    g = Power(1.0, -0.5)
+    first = g.spine_averages(64)
+    assert g.spine_averages(64) is first and calls[id(g)] == 1
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = 0.0
+    g.spine_averages(65)
+    assert g.spine_averages(64) is not first and calls[id(g)] == 3
+    assert all(_same_floats(a, b) for a, b in zip(g.spine_averages(64), first))
 
 
 # ---------------------------------------------------------------------------

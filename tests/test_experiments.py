@@ -154,6 +154,8 @@ def test_the_table_declares_what_each_instance_carries(name):
     inst = fam.make(3.0, **fam.resolve(3.0, beta=0.5 if "beta" in fam.params else None))
     assert inst.name == name
     assert (inst.sigma_f is not None) == fam.test_function
+    assert fam.test_function or not fam.finite_snorm  # a snorm needs a test function
+    assert fam.finite_snorm == (name in ("lerner", "alternating"))  # S(sigma f) in L^p(w)
     assert set(fam.params) <= {"beta", "r"}  # the CLI's --beta and --r
 
 
@@ -167,3 +169,48 @@ def test_the_experiments_check_parameters_against_the_table():
     with pytest.raises(ValueError, match="unknown family 'nope'"):
         divergence_experiment("nope", 3.0)
     assert divergence_experiment("lai_treil", 3.0, k_max=100).params["r"] == default_r(3.0)
+
+
+# ---------------------------------------------------------------------------
+# each weight's spine is built once per call and n_max
+
+
+def _count_spine_builds(monkeypatch):
+    """Spine builds per (density, n_max), counted on every class that builds
+    them; the densities are kept alive, so that no id is reused."""
+    from collections import Counter
+
+    from dyadicsq import density
+
+    calls, seen = Counter(), []
+    for cls in vars(density).values():
+        if isinstance(cls, type) and "_spine_averages" in vars(cls):
+            def counted(self, n_max, _build=vars(cls)["_spine_averages"]):
+                calls[type(self).__name__, id(self), n_max] += 1
+                seen.append(self)
+                return _build(self, n_max)
+
+            monkeypatch.setattr(cls, "_spine_averages", counted)
+    return calls
+
+
+def test_scaling_builds_each_weight_spine_once(monkeypatch):
+    calls = _count_spine_builds(monkeypatch)
+    betas = default_beta_grid(range(3, 6))
+    scaling_experiment("alternating", 3.0, betas)
+    # w and sigma each serve the spine A_p and their own radial A_infty
+    assert sum(name == "Power" for name, _, _ in calls) == 2 * betas.size
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_characteristics_build_each_weight_spine_once(tmp_path, monkeypatch, family):
+    from dyadicsq.cli import run
+
+    calls = _count_spine_builds(monkeypatch)
+    params = {"beta": ["--beta", "0.5"], "r": []}
+    argv = [a for k in FAMILIES[family].params for a in params[k]]
+    assert run(["characteristics", "--family", family, "--p", "3", "--depth", "6", *argv,
+                "--out", str(tmp_path / "c.csv"), "--no-timestamp"]) == 0
+    assert len({key[1] for key in calls}) == 2  # w and sigma, at n_max 256
+    assert set(calls.values()) == {1}
