@@ -19,6 +19,10 @@ from .squarefn import FULL_TREE_MAX_DEPTH, level_averages
 
 _LD = np.longdouble
 
+#: Deepest spine root I_m of the radial A_infty; for power weights every
+#: root's candidate is the same up to the cut at n_max.
+RADIAL_ROOT_MAX = 24
+
 
 class NonFiniteCandidateError(ValueError):
     """A candidate of a supremum came out NaN (an overflowed or 0/0 average)."""
@@ -73,20 +77,21 @@ def spine_joint_ap_values(w: Density, sigma: Density, p: float, n_max: int) -> n
 
 
 def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tree",
-                  n_max: int | None = None, root_max: int = 24) -> CharacteristicEstimate:
+                  n_max: int | None = None) -> CharacteristicEstimate:
     """Fujii-Wilson characteristic sup_Q (1/sigma(Q)) int_Q M_{Q,D} sigma.
 
     full_tree: brute-force sweep over every dyadic root Q with level <= depth,
     propagating running maxima of within-root ancestor averages to the level-N
     leaves in one pass per level (O(depth * 2^depth) total).
 
-    radial: roots restricted to the spine I_m; on each shell J_n the maximal
-    function is bounded below by the best ancestor average among the spine
-    intervals I_j (m <= j < n) and the shell itself, which is exact for
-    nonincreasing shell-wise monotone densities.  One weighted table of these
-    shell values serves every root: built for the deepest root, it changes
-    for root m only on the prefix where I_m leads, so building it costs
-    O(n_max + the sum of the led prefixes), and each root sums its slice.
+    radial: roots restricted to the spine I_m, m <= RADIAL_ROOT_MAX; on each
+    shell J_n the maximal function is bounded below by the best ancestor
+    average among the spine intervals I_j (m <= j < n) and the shell itself,
+    which is exact for nonincreasing shell-wise monotone densities.  One
+    weighted table of these shell values serves every root: built for the
+    deepest root, it changes for root m only on the prefix where I_m leads,
+    so building it costs O(n_max + the sum of the led prefixes), and each
+    root sums its slice.
     """
     if mode == "full_tree":
         if depth is None or depth > FULL_TREE_MAX_DEPTH:
@@ -95,7 +100,7 @@ def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tr
     if mode == "radial":
         if n_max is None:
             raise ValueError("radial mode requires n_max (spine depth)")
-        return _ainfty_radial(sigma, n_max, root_max)
+        return _ainfty_radial(sigma, n_max)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -114,9 +119,9 @@ def _ainfty_full_tree(sigma: Density, depth: int) -> CharacteristicEstimate:
     return CharacteristicEstimate(best, "a_infty", ("dyadic", depth))
 
 
-def _ainfty_radial(sigma: Density, n_max: int, root_max: int) -> CharacteristicEstimate:
+def _ainfty_radial(sigma: Density, n_max: int) -> CharacteristicEstimate:
     i_avg, j_avg = sigma.spine_averages(n_max)
-    top = min(root_max, n_max - 2)
+    top = min(RADIAL_ROOT_MAX, n_max - 2)
     if top < 0:
         return CharacteristicEstimate(0.0, "a_infty", ("spine", n_max))
     # table[k] = max(C_m[k], J_{k+1}) 2^-(k+1) on the shell J_{k+1}, with
@@ -157,22 +162,15 @@ def _ainfty_radial(sigma: Density, n_max: int, root_max: int) -> CharacteristicE
     return CharacteristicEstimate(best, "a_infty", ("spine", n_max))
 
 
-def interval_scan_joint_ap(w, sigma, p: float, span: int, grid_step: float) -> CharacteristicEstimate:
-    """max of <w><sigma>^(p-1) over all grid-aligned intervals in [-span, span],
-    augmented with left-anchored intervals (0, 2^-j) hitting the singular points.
+def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list[CharacteristicEstimate]:
+    """For each of the increasing ``spans``, the max of <w><sigma>^(p-1) over
+    all grid-aligned intervals in [-span, span], augmented with the intervals
+    of length 2^-j next to or centred on the singular points (the even integers).
 
+    ``w`` and ``sigma`` are periodized densities (:class:`PeriodicReflect`).
     The grid part is the exact maximum over every grid pair, bit for bit the
     value of evaluating each pair; a certified upper bound on blocks of pairs
     (see ``_pair_scan_max``) only skips the pairs that cannot beat it.
-
-    ``w`` and ``sigma`` must expose ``cumulative(xs, x0)`` (PeriodicReflect) or
-    be [0,1)-supported densities scanned on [0, 1] only.
-    """
-    return interval_scans_joint_ap(w, sigma, p, (span,), grid_step)[0]
-
-
-def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list[CharacteristicEstimate]:
-    """``interval_scan_joint_ap`` at each of the increasing ``spans``, bit for bit.
 
     One cumulative pass on the largest span S serves each span s with S - s
     even: the grids -S + h i and -s + h i differ by a whole number of periods,
@@ -186,16 +184,15 @@ def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list
         raise ValueError("p must be > 1")
     if grid_step <= 0 or 2.0 ** round(math.log2(grid_step)) != grid_step:
         raise ValueError("grid step must be a (negative) power of 2")
-    periodic = hasattr(w, "cumulative")
     # period-2 pairs: any interval translates by an even integer to one with
     # left endpoint in the first period, with identical cumulative increments
-    n_rows = int(round(2.0 / grid_step)) if periodic else None
+    n_rows = int(round(2.0 / grid_step))
     shared, best, settled, out = _cumulative_on_grid(w, sigma, spans[-1], grid_step), 0.0, 0, []
     for span, singular in zip(spans, _singular_pair_maxima(w, sigma, p, spans)):
-        if periodic and (spans[-1] - span) % 2:
+        if (spans[-1] - span) % 2:
             value = _pair_scan_max(*_cumulative_on_grid(w, sigma, span, grid_step), p, n_rows, singular)
         else:
-            end = int(round(2 * span / grid_step)) + 1 if periodic else shared[0].size
+            end = int(round(2 * span / grid_step)) + 1
             best = value = _pair_scan_max(*(a[:end] for a in shared), p, n_rows, max(best, singular),
                                           settled)
             settled = end - 1
@@ -205,11 +202,8 @@ def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list
 
 def _cumulative_on_grid(w, sigma, span: int, h: float):
     """The scan grid and the cumulatives of w and sigma on it."""
-    if hasattr(w, "cumulative"):
-        xs = -span + h * np.arange(int(round(2 * span / h)) + 1)
-        return xs, *(np.asarray(g.cumulative(xs, -span), dtype=float) for g in (w, sigma))
-    xs = h * np.arange(int(round(1.0 / h)) + 1)
-    return xs, *(np.asarray(g.primitive(xs), dtype=float) for g in (w, sigma))
+    xs = -span + h * np.arange(int(round(2 * span / h)) + 1)
+    return xs, *(np.asarray(g.cumulative(xs, -span), dtype=float) for g in (w, sigma))
 
 
 # Block sides (rows and lags) of the scan's branch-and-bound: coarse blocks
@@ -236,9 +230,9 @@ def _pow_q(x: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray
     return np.power(x, q, out=out)
 
 
-def _pair_scan_max(xs, cw, cs, p: float, n_rows: int | None = None, floor: float = 0.0,
+def _pair_scan_max(xs, cw, cs, p: float, n_rows: int, floor: float = 0.0,
                    settled: int = 0) -> float:
-    """max(floor, max over grid pairs i < i + lag of <w><sigma>^(p-1)).
+    """max(floor, max over grid pairs i < i + lag, i < n_rows, of <w><sigma>^(p-1)).
 
     Each pair's value is computed exactly as ``dw * ds^(p-1)`` with the lag's
     maximum divided by the float ``(h*lag)**p``, so the result is bit for bit
@@ -296,9 +290,9 @@ def _envelopes(c):
 class _PairScan:
     """The arrays one interval scan bounds and evaluates its pairs with."""
 
-    def __init__(self, cw, cs, h: float, p: float, n_rows: int | None, settled: int):
+    def __init__(self, cw, cs, h: float, p: float, n_rows: int, settled: int):
         self.cw, self.cs, self.h, self.p, self.settled = cw, cs, h, p, settled
-        self.rows = cw.size - 1 if n_rows is None else min(n_rows, cw.size - 1)
+        self.rows = min(n_rows, cw.size - 1)
         self.envelopes = _envelopes(cw), _envelopes(cs)
         # right ends past the grid are padded so that their pair values come
         # out -inf; a rectangle reaches less than _FINE + _COARSE beyond it
@@ -339,22 +333,18 @@ class _PairScan:
 
 def _singular_pair_maxima(w, sigma, p: float, spans) -> list[float]:
     """For each span, the max of <w><sigma>^(p-1) over the intervals of length
-    2^-j, j < 44, next to or centred on a singular point inside the scanned
-    range: the even integers of [-span, span] for periodized densities, else 0
-    in [0, 1].  The probes of the largest span are evaluated once (vectorized
-    through ``PeriodicReflect.masses``), and each span takes those in range."""
-    periodic = hasattr(w, "cumulative")
-    ranges = [(-s, s) if periodic else (0, 1) for s in spans]
-    lo, hi = ranges[-1]
-    probes = [(a, b) for c in range(lo + lo % 2, hi + 1, 2) for h in [2.0 ** -j for j in range(44)]
-              for a, b in ((c, c + h), (c - h, c), (c - h, c + h)) if lo <= a and b <= hi]
+    2^-j, j < 44, next to or centred on an even integer of [-span, span].  The
+    probes of the largest span are evaluated once (vectorized through
+    ``PeriodicReflect.masses``), and each span takes those in range."""
+    top = spans[-1]
+    probes = [(a, b) for c in range(-top + top % 2, top + 1, 2) for h in [2.0 ** -j for j in range(44)]
+              for a, b in ((c, c + h), (c - h, c), (c - h, c + h)) if -top <= a and b <= top]
     a, b = (np.array(x, dtype=float) for x in zip(*probes))
-    mw, ms = ((g.masses(a, b) if periodic else np.array([g.integrate(*ab) for ab in probes]))
-              for g in (w, sigma))
+    mw, ms = (g.masses(a, b) for g in (w, sigma))
     # Python floats: numpy's power is not float.__pow__ to the last bit
     vals = [x / n * (y / n) ** (p - 1.0) for x, y, n in zip(mw.tolist(), ms.tolist(), (b - a).tolist())]
     if nan := next(((x, y) for v, (x, y) in zip(vals, probes) if math.isnan(v)), None):
         raise NonFiniteCandidateError(f"NaN candidate at singular probe [{nan[0]:g}, {nan[1]:g}), "
-                                      f"span {spans[-1]}")
-    return [max([0.0] + [v for v, (x, y) in zip(vals, probes) if lo <= x and y <= hi])
-            for lo, hi in ranges]
+                                      f"span {top}")
+    return [max([0.0] + [v for v, (x, y) in zip(vals, probes) if -s <= x and y <= s])
+            for s in spans]

@@ -275,7 +275,7 @@ def run(argv=None) -> int:
         args.fn(args)
     except TailNotCertifiedError as e:
         return _fail(EXIT_UNCERTIFIED, e)
-    except ValueError as e:  # NonIntegrableError, ExtensionHypothesisError, NonFiniteCandidateError
+    except ValueError as e:  # NonIntegrableError, ExtensionHypothesisError, NonFinite{Candidate,Term}Error
         return _fail(EXIT_PRECONDITION, e)
     except AssertionError as e:  # a failed internal check (closed-form verification): a bug
         return _fail(EXIT_INTERNAL, e)

@@ -32,10 +32,6 @@ class DyadicInterval:
             raise ValueError(f"index {self.index} out of range at level {self.level}")
 
     @property
-    def measure(self) -> Fraction:
-        return Fraction(1, 2 ** self.level)
-
-    @property
     def left(self) -> Fraction:
         return Fraction(self.index, 2 ** self.level)
 

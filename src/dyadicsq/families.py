@@ -205,26 +205,24 @@ def _pullback_onto_shell(inner: Density, k: int, reflect: bool) -> Density:
     return AffinePullback(inner, offset=2.0 ** -k, scale=2.0 ** -k, reflected=False)
 
 
-def direct_sum_family(p: float, reflected: bool = True) -> FamilyInstance:
+def direct_sum_family(p: float) -> FamilyInstance:
     """Glue rescaled one-singularity blocks (beta_k = 1 - 1/k) onto the shells.
 
-    With the default reflected orientation, even shells carry a mirrored copy
-    of the previous block so every interior singularity at 2^-k (k odd) is
-    matched from both sides with the same exponent, which keeps the full
-    (non-dyadic) joint A_p characteristic finite.  ``reflected=False`` gives
-    the naive gluing for contrast experiments.
+    Even shells carry a mirrored copy of the previous block, so every interior
+    singularity at 2^-k (k odd) is matched from both sides with the same
+    exponent, which keeps the full (non-dyadic) joint A_p characteristic finite.
     """
     if p <= 2.0:
         raise ValueError("p must be > 2")
 
     def w_piece(k: int) -> Density:
-        if reflected and k % 2 == 0:
+        if k % 2 == 0:
             kk = k - 1
             return _pullback_onto_shell(Power(1.0 - _beta_k(kk), -_beta_k(kk)), k, True)
         return _pullback_onto_shell(Power(1.0 - _beta_k(k), -_beta_k(k)), k, False)
 
     def sigma_piece(k: int) -> Density:
-        if reflected and k % 2 == 0:
+        if k % 2 == 0:
             kk = k - 1
             return _pullback_onto_shell(Power(1.0, _beta_k(kk) / (p - 1.0)), k, True)
         return _pullback_onto_shell(Power(1.0, _beta_k(k) / (p - 1.0)), k, False)
@@ -243,7 +241,7 @@ def direct_sum_family(p: float, reflected: bool = True) -> FamilyInstance:
     inst = FamilyInstance(
         name="direct_sum",
         p=p,
-        params={"reflected": reflected},
+        params={},
         w=PiecewiseDyadic(w_piece, "direct_sum w"),
         sigma=PiecewiseDyadic(sigma_piece, "direct_sum sigma"),
         sigma_f=PiecewiseDyadic(sigma_f_piece, "direct_sum sigma*f"),

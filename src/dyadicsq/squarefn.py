@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import LN2, Density
+from .density import Density
 from .dyadic import DyadicInterval, children
 
 _LD = np.longdouble
@@ -23,12 +23,13 @@ _LD = np.longdouble
 #: full-tree oracle sweeps its 2^20 leaves in under a second.
 FULL_TREE_MAX_DEPTH = 20
 
-#: Deepest ``level_averages``: 2^24 leaves, 128 MiB per array of them.
-_LEVEL_MAX_DEPTH = 24
-
 
 class TailNotCertifiedError(RuntimeError):
     """A series tail could not be bounded by a geometric majorant."""
+
+
+class NonFiniteTermError(ValueError):
+    """A term of the snorm series came out NaN or +inf (an overflowed average)."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ def spine_profile(g: Density, n_max: int) -> SpineProfile:
 
 def level_averages(g: Density, depth: int) -> list[np.ndarray]:
     """Averages of g over every dyadic interval of level 0..depth."""
-    if depth > _LEVEL_MAX_DEPTH:
-        raise ValueError(f"full-tree depth capped at {_LEVEL_MAX_DEPTH}")
+    if depth > FULL_TREE_MAX_DEPTH:
+        raise ValueError(f"full-tree depth capped at {FULL_TREE_MAX_DEPTH}")
     edges = np.arange(2 ** depth + 1, dtype=float) / 2 ** depth
     prim = np.asarray(g.primitive(edges), dtype=float)
     masses = np.diff(prim)
@@ -112,8 +113,6 @@ def level_averages(g: Density, depth: int) -> list[np.ndarray]:
 
 def full_square_function(g: Density, depth: int) -> PiecewiseLeafFunction:
     """Leaf values of (sum of squared Delta_Q over ancestors with level < depth)^(1/2)."""
-    if depth > FULL_TREE_MAX_DEPTH:
-        raise ValueError(f"full-tree depth capped at {FULL_TREE_MAX_DEPTH}")
     avgs = level_averages(g, depth)
     acc = np.zeros(2 ** depth)
     for lev in range(1, depth + 1):
@@ -141,38 +140,22 @@ def _certify_geometric_tail(log_terms: np.ndarray, log_total: float,
         )
 
 
-def weighted_snorm(fsigma: Density, w: Density, p: float, mode: str = "spine",
-                   n_max: int | None = None, depth: int | None = None,
+def weighted_snorm(fsigma: Density, w: Density, p: float, n_max: int,
                    tail_rel_tol: float = 1e-12) -> float:
-    """Lower bound for ||S(f sigma)||_{L^p(w)}.
-
-    Spine mode sums s_n^p * w(J_n) over shells with a certified geometric tail
-    below tail_rel_tol of the sum; full mode sums leaf values at the given
-    depth (cross-validation only).
+    """Lower bound for ||S(f sigma)||_{L^p(w)}: the sum of s_n^p * w(J_n) over
+    the shells n <= n_max, with a certified geometric tail below tail_rel_tol
+    of the sum.  A zero term (-inf in log) drops out; a NaN or +inf one raises.
     """
     if p <= 1.0:
         raise ValueError("p must be > 1")
-    if mode == "full":
-        if depth is None:
-            raise ValueError("full mode requires a depth")
-        leaf = full_square_function(fsigma, depth)
-        edges = np.arange(2 ** depth + 1, dtype=float) / 2 ** depth
-        w_masses = np.diff(np.asarray(w.primitive(edges), dtype=float))
-        return float(np.sum(leaf.values ** p * w_masses) ** (1.0 / p))
-    if mode != "spine":
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_max is None:
-        raise ValueError("spine mode requires n_max")
     prof = spine_profile(fsigma, n_max)
-    s = prof.s[1:]
-    if not np.any(s > 0):
-        return 0.0
-    logw = w.log_shell_masses(n_max)[1:]
     with np.errstate(divide="ignore"):
-        log_s = np.asarray(np.log(s.astype(_LD)), dtype=np.float64)
-    log_terms = p * log_s + logw
-    finite = np.isfinite(log_terms)
-    log_terms = log_terms[finite]
+        log_s = np.asarray(np.log(prof.s[1:]), dtype=np.float64)
+    log_terms = p * log_s + w.log_shell_masses(n_max)[1:]
+    if (bad := np.flatnonzero(np.isnan(log_terms) | (log_terms == np.inf))).size:
+        raise NonFiniteTermError(f"non-finite snorm term {float(np.exp(log_terms[bad[0]]))} "
+                                 f"at shell J_{bad[0] + 1}, n_max {n_max}")
+    log_terms = log_terms[log_terms > -np.inf]
     if log_terms.size == 0:
         return 0.0
     shift = log_terms.max()
@@ -194,9 +177,6 @@ def partial_mass_profile(prof: SpineProfile, w: Density, p: float, ks) -> np.nda
         raise ValueError("k beyond the computed spine depth")
     out = np.empty(ks.size)
     for i, k in enumerate(ks):
-        if k == 0:
-            out[i] = 0.0
-            continue
         out[i] = float(prof.left_squares[k] ** (p / 2.0)) * w.spine_mass(int(k))
     return out
 

@@ -1,12 +1,14 @@
 import collections
 import functools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadicsq.characteristics as ch
 from dyadicsq.characteristics import (
     CharacteristicEstimate,
     NonFiniteCandidateError,
@@ -16,12 +18,16 @@ from dyadicsq.characteristics import (
     _singular_pair_maxima,
     dyadic_ainfty,
     dyadic_joint_ap,
-    interval_scan_joint_ap,
     interval_scans_joint_ap,
     spine_joint_ap,
     spine_joint_ap_values,
 )
 from dyadicsq.density import Constant, Density, PeriodicReflect, Power
+
+
+def _one_span_scan(w, sigma, p, span, grid_step):
+    """The interval scan of one span."""
+    return interval_scans_joint_ap(w, sigma, p, (span,), grid_step)[0]
 
 
 def test_estimate_rejects_negative():
@@ -125,7 +131,7 @@ def test_ainfty_mode_validation():
 
 def test_scan_constant_pair():
     w = PeriodicReflect(Constant(1.0))
-    est = interval_scan_joint_ap(w, w, 2.0, span=2, grid_step=2.0 ** -6)
+    est = _one_span_scan(w, w, 2.0, span=2, grid_step=2.0 ** -6)
     assert est.value == pytest.approx(1.0, rel=1e-12)
 
 
@@ -133,9 +139,9 @@ def test_scan_monotone_in_span_and_grid():
     p, beta = 2.0, 0.5
     w = PeriodicReflect(Power(1.0, -beta))
     sigma = PeriodicReflect(Power(1.0, beta))
-    coarse = interval_scan_joint_ap(w, sigma, p, span=2, grid_step=2.0 ** -6).value
-    fine = interval_scan_joint_ap(w, sigma, p, span=2, grid_step=2.0 ** -8).value
-    wide = interval_scan_joint_ap(w, sigma, p, span=4, grid_step=2.0 ** -8).value
+    coarse = _one_span_scan(w, sigma, p, span=2, grid_step=2.0 ** -6).value
+    fine = _one_span_scan(w, sigma, p, span=2, grid_step=2.0 ** -8).value
+    wide = _one_span_scan(w, sigma, p, span=4, grid_step=2.0 ** -8).value
     assert coarse <= fine + 1e-12
     assert fine <= wide + 1e-12
 
@@ -145,15 +151,15 @@ def test_scan_dominates_dyadic():
     p, beta = 2.0, 0.5
     w, sigma = Power(1.0, -beta), Power(1.0, beta)
     dy = dyadic_joint_ap(w, sigma, p, 8).value
-    sc = interval_scan_joint_ap(PeriodicReflect(w), PeriodicReflect(sigma), p,
-                                span=2, grid_step=2.0 ** -8).value
+    sc = _one_span_scan(PeriodicReflect(w), PeriodicReflect(sigma), p,
+                        span=2, grid_step=2.0 ** -8).value
     assert sc >= dy - 1e-12
 
 
 def test_scan_rejects_bad_grid():
     w = PeriodicReflect(Constant(1.0))
     with pytest.raises(ValueError):
-        interval_scan_joint_ap(w, w, 2.0, span=2, grid_step=0.3)
+        _one_span_scan(w, w, 2.0, span=2, grid_step=0.3)
 
 
 def test_nan_candidates_raise_instead_of_vanishing():
@@ -214,32 +220,35 @@ _SCAN_PS = st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0])
 _HEIGHTS = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=16)
 
 
+def _two_point_mass(g, a, b):
+    """A periodized mass as one two-point cumulative from floor(a)."""
+    lo, hi = g.cumulative(np.array([a, b]), math.floor(a))
+    return float(hi - lo)
+
+
 def _avg_product(w, sigma, p, a, b):
     length = b - a
-    return (w.integrate(a, b) / length) * (sigma.integrate(a, b) / length) ** (p - 1.0)
+    return (_two_point_mass(w, a, b) / length) * (_two_point_mass(sigma, a, b) / length) ** (p - 1.0)
 
 
 def _singular_pair_max(w, sigma, p, span):
-    """The singular probes one scalar ``integrate`` pair at a time: the
-    reference the vectorized probe set must reproduce bit for bit."""
-    if hasattr(w, "cumulative"):
-        anchors, lo, hi = [c for c in range(-span, span + 1) if c % 2 == 0], -span, span
-    else:
-        anchors, lo, hi = [0], 0, 1
+    """The singular probes one scalar mass pair at a time: the reference the
+    vectorized probe set must reproduce bit for bit."""
     best = 0.0
-    for c in anchors:
+    for c in range(-span, span + 1):
+        if c % 2:
+            continue
         for j in range(0, 44):
             h = 2.0 ** (-j)
             for a, b in ((c, c + h), (c - h, c), (c - h, c + h)):
-                if lo <= a and b <= hi:
+                if -span <= a and b <= span:
                     best = max(best, _avg_product(w, sigma, p, a, b))
     return best
 
 
 def _scan_parts(w, sigma, p, span, step):
     xs, cw, cs = _cumulative_on_grid(w, sigma, span, step)
-    n_rows = int(round(2.0 / step)) if hasattr(w, "cumulative") else None
-    return xs, cw, cs, n_rows, _singular_pair_max(w, sigma, p, span)
+    return xs, cw, cs, int(round(2.0 / step)), _singular_pair_max(w, sigma, p, span)
 
 
 @settings(max_examples=25, deadline=None)
@@ -247,32 +256,22 @@ def _scan_parts(w, sigma, p, span, step):
 def test_scan_is_the_brute_force_maximum_periodic(hw, hs, p, span, k):
     w, sigma = PeriodicReflect(_Steps(hw)), PeriodicReflect(_Steps(hs))
     xs, cw, cs, n_rows, singular = _scan_parts(w, sigma, p, span, 2.0 ** -k)
-    got = interval_scan_joint_ap(w, sigma, p, span, 2.0 ** -k).value
+    got = _one_span_scan(w, sigma, p, span, 2.0 ** -k).value
     assert got == max(_brute_force_scan(xs, cw, cs, p, n_rows), singular)
-
-
-@settings(max_examples=25, deadline=None)
-@given(_HEIGHTS, _HEIGHTS, _SCAN_PS, st.integers(4, 11))
-def test_scan_is_the_brute_force_maximum_on_the_unit_interval(hw, hs, p, k):
-    w, sigma = _Steps(hw), _Steps(hs)
-    xs, cw, cs, n_rows, singular = _scan_parts(w, sigma, p, 0, 2.0 ** -k)
-    assert n_rows is None
-    got = interval_scan_joint_ap(w, sigma, p, 0, 2.0 ** -k).value
-    assert got == max(_brute_force_scan(xs, cw, cs, p), singular)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
 def test_scan_constant_pair_every_candidate_ties(p):
     w = PeriodicReflect(Constant(1.0))
     xs, cw, cs, n_rows, singular = _scan_parts(w, w, p, 2, 2.0 ** -9)
-    got = interval_scan_joint_ap(w, w, p, 2, 2.0 ** -9).value
+    got = _one_span_scan(w, w, p, 2, 2.0 ** -9).value
     assert got == max(_brute_force_scan(xs, cw, cs, p, n_rows), singular)
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(_HEIGHTS, _HEIGHTS, st.sampled_from([2.0, 3.0, 4.0]), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([None, 256, 700]))
+       st.sampled_from([1024, 256, 700]))  # 1024: every row
 def test_scan_with_rounding_level_steps_down(hw, hs, p, seed, n_rows):
     # zero cells make runs of equal cumulative values, which a few ulps of
     # noise turn into steps down; at integer p - 1 a negative increment
@@ -298,16 +297,17 @@ def test_scan_of_a_single_rounding_bump(k, p):
     cw = xs + 1.0
     cs = np.full(xs.size, 3.0)
     cs[k] = np.nextafter(3.0, 4.0)
-    assert _pair_scan_max(xs, cw, cs, p) == _brute_force_scan(xs, cw, cs, p) > 0.0
+    assert _pair_scan_max(xs, cw, cs, p, xs.size - 1) == _brute_force_scan(xs, cw, cs, p) > 0.0
 
 
 def test_scan_floor_above_every_grid_value():
     xs = np.linspace(0.0, 1.0, 2049)
     cw, cs = Power(1.0, -0.5).primitive(xs), Power(1.0, 0.5).primitive(xs)
     brute = _brute_force_scan(xs, cw, cs, 2.5)
-    assert _pair_scan_max(xs, cw, cs, 2.5, floor=0.5 * brute) == brute
-    assert _pair_scan_max(xs, cw, cs, 2.5, floor=brute) == brute
-    assert _pair_scan_max(xs, cw, cs, 2.5, floor=2.0 * brute) == 2.0 * brute
+    rows = xs.size - 1
+    assert _pair_scan_max(xs, cw, cs, 2.5, rows, floor=0.5 * brute) == brute
+    assert _pair_scan_max(xs, cw, cs, 2.5, rows, floor=brute) == brute
+    assert _pair_scan_max(xs, cw, cs, 2.5, rows, floor=2.0 * brute) == 2.0 * brute
 
 
 @settings(max_examples=25, deadline=None)
@@ -319,7 +319,7 @@ def test_scan_with_settled_pairs_below_the_floor(hw, hs, p, settled):
     cw, cs = _Steps(hw).primitive(xs), _Steps(hs).primitive(xs)
     end = settled + 1
     floor = _brute_force_scan(xs[:end], cw[:end], cs[:end], p)
-    assert _pair_scan_max(xs, cw, cs, p, floor=floor, settled=settled) == \
+    assert _pair_scan_max(xs, cw, cs, p, xs.size - 1, floor=floor, settled=settled) == \
         max(_brute_force_scan(xs, cw, cs, p), floor)
 
 
@@ -339,7 +339,7 @@ def test_scan_prunes_most_pairs(monkeypatch):
     monkeypatch.setattr(ch._PairScan, "exact_max", counting)
     ext = extend_to_line(power_pair(3.0, 0.5, "i"))
     step = 2.0 ** -10
-    interval_scan_joint_ap(ext.w, ext.sigma, 3.0, 2, step)
+    _one_span_scan(ext.w, ext.sigma, 3.0, 2, step)
     n, rows = 4 * 2 ** 10 + 1, 2 ** 11
     grid_pairs = sum(min(rows, n - lag) for lag in range(1, n))
     assert 0 < sum(evaluated) <= grid_pairs / 4
@@ -361,21 +361,10 @@ def test_scan_nan_cumulative_raises():
     w = PeriodicReflect(Constant(1.0))
     # 3/4 is a grid point that no singular probe reaches
     with pytest.raises(NonFiniteCandidateError, match=r"\[-2, 2\], step 2\^-4"):
-        interval_scan_joint_ap(w, PeriodicReflect(Holed(0.75)), 3.0, span=2, grid_step=2.0 ** -4)
+        _one_span_scan(w, PeriodicReflect(Holed(0.75)), 3.0, span=2, grid_step=2.0 ** -4)
     # 1/8 is also a probe point, and the probes at the singular points come first
     with pytest.raises(NonFiniteCandidateError, match="singular probe"):
-        interval_scan_joint_ap(w, PeriodicReflect(Holed(0.125)), 3.0, span=2, grid_step=2.0 ** -4)
-
-
-def test_unit_interval_scan_probes_the_singular_point_at_every_span():
-    # w = x^-1/2, sigma = x^1/2: every interval (0, h) gives 2 h^-1/2 * (2/3) h^1/2
-    vals = {s: interval_scan_joint_ap(Power(1.0, -0.5), Power(1.0, 0.5), 2.0,
-                                      span=s, grid_step=2.0 ** -6).value
-            for s in (0, 1, 2)}
-    assert vals[0] == vals[1] == vals[2]
-    assert vals[0] >= 4.0 / 3.0 * (1.0 - 1e-15)
-    shared = interval_scans_joint_ap(Power(1.0, -0.5), Power(1.0, 0.5), 2.0, (0, 1, 2), 2.0 ** -6)
-    assert [e.value for e in shared] == [vals[s] for s in (0, 1, 2)]
+        _one_span_scan(w, PeriodicReflect(Holed(0.125)), 3.0, span=2, grid_step=2.0 ** -4)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +396,7 @@ _SHARED_CASES = [(f, p, span, k) for f, ps in _FAMILY_PS.items() for p in ps
 def test_shared_scans_are_two_independent_scans(family, p, span, k):
     ext = _extended(family, p)
     got = interval_scans_joint_ap(ext.w, ext.sigma, p, (span, 2 * span), 2.0 ** -k)
-    want = [interval_scan_joint_ap(ext.w, ext.sigma, p, s, 2.0 ** -k) for s in (span, 2 * span)]
+    want = [_one_span_scan(ext.w, ext.sigma, p, s, 2.0 ** -k) for s in (span, 2 * span)]
     assert [e.value for e in got] == [e.value for e in want]
     assert got == want
 
@@ -418,7 +407,7 @@ def test_shared_scans_of_any_spans_are_the_single_scans(hw, hs, p, spans, k):
     w, sigma = PeriodicReflect(_Steps(hw)), PeriodicReflect(_Steps(hs))
     spans = sorted(spans)
     got = interval_scans_joint_ap(w, sigma, p, spans, 2.0 ** -k)
-    assert got == [interval_scan_joint_ap(w, sigma, p, s, 2.0 ** -k) for s in spans]
+    assert got == [_one_span_scan(w, sigma, p, s, 2.0 ** -k) for s in spans]
 
 
 @pytest.mark.parametrize("span", [1, 2, 3, 4])
@@ -434,12 +423,6 @@ def test_even_span_pass_is_a_prefix_of_the_doubled_pass(family, span):
     assert same == [span % 2 == 0] * 2
 
 
-def _two_point_mass(g, a, b):
-    """A periodized mass as one two-point cumulative from floor(a)."""
-    lo, hi = g.cumulative(np.array([a, b]), math.floor(a))
-    return float(hi - lo)
-
-
 _POINTS = st.one_of(st.floats(-8.0, 8.0), st.integers(-8, 8).map(float))
 _INTERVALS = st.one_of(
     st.tuples(_POINTS, _POINTS),
@@ -453,12 +436,11 @@ _INTERVALS = st.one_of(
 @given(st.sampled_from(["lai_treil", "power_pair_i", "direct_sum"]),
        st.lists(_INTERVALS, min_size=1, max_size=24))
 def test_masses_are_integrate_to_the_bit(family, intervals):
+    # the scalar integral of a periodized density is one two-point cumulative
     ext = _extended(family, 3.0)
     a, b = (np.array(x) for x in zip(*intervals))
     for g in (ext.w, ext.sigma):
-        got = g.masses(a, b).tolist()
-        assert got == [g.integrate(x, y) for x, y in intervals]
-        assert got == [_two_point_mass(g, x, y) for x, y in intervals]
+        assert g.masses(a, b).tolist() == [_two_point_mass(g, x, y) for x, y in intervals]
 
 
 def test_masses_reject_empty_intervals():
@@ -466,7 +448,7 @@ def test_masses_reject_empty_intervals():
     with pytest.raises(ValueError, match="empty interval"):
         g.masses([0.0, 1.0], [0.5, 1.0])
     with pytest.raises(ValueError, match="empty interval"):
-        g.integrate(2.0, -1.0)
+        g.masses(2.0, -1.0)
 
 
 @pytest.mark.parametrize("family, p", [(f, p) for f, ps in _FAMILY_PS.items() for p in ps])
@@ -506,7 +488,7 @@ def test_doubled_scan_starts_from_the_doubled_probes():
     w, sigma, step = _Spiked(Constant(1.0), 6.0), PeriodicReflect(Constant(1.0)), 2.0 ** -8
     single, doubled = interval_scans_joint_ap(w, sigma, 2.0, (4, 8), step)
     assert single.value < 2.0 ** 9
-    assert doubled.value == interval_scan_joint_ap(w, sigma, 2.0, 8, step).value >= 2.0 ** 28
+    assert doubled.value == _one_span_scan(w, sigma, 2.0, 8, step).value >= 2.0 ** 28
 
 
 @pytest.mark.parametrize("family", ["lai_treil", "power_pair_i"])
@@ -531,13 +513,14 @@ def test_extension_experiment_makes_no_scalar_integrate_call(monkeypatch):
     from dyadicsq.experiments import extension_experiment
 
     calls = []
-    integrate = PeriodicReflect.integrate
+    integrate = Density.integrate
 
     def counting(self, a, b):
-        calls.append((a, b))
+        if isinstance(self, PeriodicReflect):
+            calls.append((a, b))
         return integrate(self, a, b)
 
-    monkeypatch.setattr(PeriodicReflect, "integrate", counting)
+    monkeypatch.setattr(Density, "integrate", counting)
     out = extension_experiment("lai_treil", 3.0, span=2, grid_step=2.0 ** -8)
     assert calls == []
     assert out["scan_max_doubled"] >= out["scan_max"] > 0.0
@@ -556,6 +539,11 @@ def _per_root_candidates(i_avg, j_avg, n_max, root_max):
         n = np.arange(m + 1, n_max + 1)
         weights = np.exp2(np.longdouble(m) - np.asarray(n, dtype=np.longdouble))
         yield m, float(np.sum(mvals * weights) / i_avg[m])
+
+
+def _root_max(root_max):
+    """The radial A_infty with roots I_0..I_root_max, within the block."""
+    return unittest.mock.patch.object(ch, "RADIAL_ROOT_MAX", root_max)
 
 
 def _per_root_radial(sigma, n_max, root_max):
@@ -589,7 +577,8 @@ _RADIAL_SIGMAS = st.one_of(
 def test_radial_ainfty_is_the_per_root_reference(sigma, n_max, root_max):
     if isinstance(sigma, str):
         sigma = _family_weights()[sigma]
-    got = dyadic_ainfty(sigma, mode="radial", n_max=n_max, root_max=root_max).value
+    with _root_max(root_max):
+        got = dyadic_ainfty(sigma, mode="radial", n_max=n_max).value
     assert got == _per_root_radial(sigma, n_max, root_max)
 
 
@@ -648,8 +637,8 @@ def test_radial_ainfty_is_the_checked_per_root_reference_on_any_spine(n_max, roo
     stub = _SpineStub(spine["i"], spine["j"])
     with np.errstate(all="ignore"):
         want = _outcome(reference)
-        got = _outcome(lambda: dyadic_ainfty(stub, mode="radial", n_max=n_max,
-                                             root_max=root_max).value)
+        with _root_max(root_max):
+            got = _outcome(lambda: dyadic_ainfty(stub, mode="radial", n_max=n_max).value)
     assert got == want
 
 

@@ -161,8 +161,19 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_nan_characteristic_is_a_precondition_error(tmp_path, capsys):
-    # at beta = 1 - 2^-11 the radial A_infty averages of x^-beta overflow
+def test_nan_characteristic_is_a_precondition_error(tmp_path, monkeypatch, capsys):
+    # a NaN spine in place of the averages at beta = 1 - 2^-11 (n_max 32768)
+    from dyadicsq.density import Power
+
+    build = Power._spine_averages
+
+    def holed(self, n_max):
+        if n_max < 32768:
+            return build(self, n_max)
+        nan = np.full(n_max + 1, np.nan, dtype=np.longdouble)
+        return nan, nan.copy()
+
+    monkeypatch.setattr(Power, "_spine_averages", holed)
     out = tmp_path / "g.csv"
     code = run(["ainfty-growth", "--p", "3", "--beta-grid", "j=9..11",
                 "--out", str(out), "--no-timestamp"])
@@ -190,6 +201,21 @@ def test_nan_in_the_interval_scan_is_a_precondition_error(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert code == EXIT_PRECONDITION
     assert "type=NonFiniteCandidateError" in err and "step 2^-6" in err
+    assert not out.exists()
+
+
+def test_a_non_finite_snorm_term_is_a_precondition_error(tmp_path, capsys):
+    # the extended-precision spine averages of x^-0.875 overflow past shell
+    # 2^13, so terms there come out NaN or +inf, and none may drop out of the
+    # sum; once the spine is kept in a scaled form, this call must give a
+    # finite certified norm instead
+    out = tmp_path / "s.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["square-function", "--family", "lerner", "--p", "3", "--beta", "0.875",
+                    "--n-max", "131072", "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION
+    assert "type=NonFiniteTermError" in err and "n_max 131072" in err
     assert not out.exists()
 
 
@@ -245,8 +271,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_start_up_and_small_commands_load_no_scipy(tmp_path):
-    # scipy is most of the start-up time; only the off-zero LogPowerPlain
-    # quadrature and the direct-sum divergence import it, when they are called
+    # scipy is most of the start-up time; only the direct-sum divergence
+    # imports it (scipy.special), when it is called
     assert _fresh_python(_SCIPY_FREE, str(tmp_path)).strip() == "[]"
 
 
@@ -259,9 +285,13 @@ def test_the_paths_that_import_scipy_give_the_same_values(tmp_path):
                   *ds, "--out", str(tmp_path / "fresh.csv"))
     assert _read(tmp_path / "fresh.csv") == _read(tmp_path / "here.csv")
 
-    got = _fresh_python("from dyadicsq.density import LogPowerPlain; "
-                        "print(LogPowerPlain(0.4).integrate(0.25, 0.5).hex())")
+    # an off-zero LogPowerPlain integral is a difference of primitives: no scipy
+    got, loaded = _fresh_python(
+        "import sys; from dyadicsq.density import LogPowerPlain; "
+        "print(LogPowerPlain(0.4).integrate(0.25, 0.5).hex()); "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])").split()
     assert float.fromhex(got) == LogPowerPlain(0.4).integrate(0.25, 0.5)
+    assert loaded == "[]"
 
 
 # ---------------------------------------------------------------------------

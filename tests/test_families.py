@@ -156,16 +156,6 @@ def test_direct_sum_matched_singularity_exponents():
     assert local_exponent(-1.0) == pytest.approx(2.0 / 3.0, rel=1e-3)
 
 
-def test_direct_sum_naive_orientation_differs():
-    refl = direct_sum_family(3.0)
-    naive = direct_sum_family(3.0, reflected=False)
-    x = 0.09  # inside an even shell
-    assert float(np.asarray(refl.w.value(x))) != \
-        pytest.approx(float(np.asarray(naive.w.value(x))), rel=1e-6)
-    # masses per shell agree regardless of orientation on odd shells
-    assert naive.w.piece_mass(3) == pytest.approx(refl.w.piece_mass(3), rel=1e-12)
-
-
 def test_extend_to_line_reflects():
     inst = power_pair(2.0, 0.5, "ii")  # w = x^(1/2)
     ext = extend_to_line(inst)

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicsq.density import Constant, LogPowerPlain, NonIntegrableError, Power, Scale, SignModulate
+from dyadicsq.density import (
+    Constant,
+    Density,
+    LogPowerPlain,
+    NonIntegrableError,
+    Power,
+    Scale,
+    SignModulate,
+)
 from dyadicsq.dyadic import DyadicInterval, spine
 from dyadicsq.squarefn import (
+    NonFiniteTermError,
     TailNotCertifiedError,
     full_square_function,
     level_averages,
@@ -132,14 +141,56 @@ def test_weighted_snorm_zero_function():
     assert weighted_snorm(Constant(0.0), Power(1.0, -0.5), 3.0, n_max=64) == 0.0
 
 
+def _full_tree_snorm(fsigma, w, p, depth):
+    """(sum over the level-depth leaves of S(f sigma)^p w(leaf))^(1/p)."""
+    leaf = full_square_function(fsigma, depth)
+    edges = np.arange(2 ** depth + 1, dtype=float) / 2 ** depth
+    w_masses = np.diff(np.asarray(w.primitive(edges), dtype=float))
+    return float(np.sum(leaf.values ** p * w_masses) ** (1.0 / p))
+
+
 def test_weighted_snorm_full_vs_spine_alternating():
     p = 3.0
     w = Power(1.0, -0.5)
-    full = weighted_snorm(ALT_SF, w, p, mode="full", depth=14)
+    full = _full_tree_snorm(ALT_SF, w, p, 14)
     sp = weighted_snorm(ALT_SF, w, p, n_max=2000)
     # the truncations differ but both approach the same series from below
     assert full == pytest.approx(sp, rel=2e-2)
     assert full <= sp * (1.0 + 1e-12)
+
+
+class _Spine(Density):
+    """A density that is nothing but the spine averages it was given."""
+
+    def __init__(self, i_avg, j_avg):
+        self.avgs = i_avg, j_avg
+
+    def _spine_averages(self, n_max):
+        return tuple(a[: n_max + 1].copy() for a in self.avgs)
+
+
+def _alternating_spine(n_max):
+    return tuple(a.copy() for a in ALT_SF.spine_averages(n_max))
+
+
+@pytest.mark.parametrize("shell, value", [(5, np.nan), (7, np.inf), (400, np.nan)])
+def test_weighted_snorm_raises_on_a_non_finite_term(shell, value):
+    i_avg, j_avg = _alternating_spine(400)
+    j_avg[shell] = value
+    with pytest.raises(NonFiniteTermError, match=f"shell J_{shell}, n_max 400$"):
+        weighted_snorm(_Spine(i_avg, j_avg), Power(1.0, -0.5), 4.0, n_max=400)
+
+
+def test_weighted_snorm_drops_a_zero_term():
+    # J_1 averaging what I_0 does makes s_1 = 0, a term of -inf in log
+    p, w = 4.0, Power(1.0, -0.5)
+    i_avg, j_avg = _alternating_spine(400)
+    j_avg[1] = i_avg[0]
+    g = _Spine(i_avg, j_avg)
+    s = spine_profile(g, 400).s
+    assert s[1] == 0.0
+    terms = np.asarray(s[2:], dtype=float) ** p * np.exp(w.log_shell_masses(400)[2:])
+    assert weighted_snorm(g, w, p, n_max=400) == pytest.approx(terms.sum() ** (1.0 / p), rel=1e-12)
 
 
 def test_weighted_snorm_monotone_in_n_max():
