@@ -63,16 +63,24 @@ def dyadic_joint_ap(w: Density, sigma: Density, p: float, depth: int) -> Charact
 def spine_joint_ap(w: Density, sigma: Density, p: float, n_max: int) -> CharacteristicEstimate:
     """Joint A_p product restricted to the spine intervals I_k, k <= n_max."""
     vals = spine_joint_ap_values(w, sigma, p, n_max)
+    if (bad := np.flatnonzero(np.isnan(vals) | (vals == np.inf))).size:
+        raise NonFiniteCandidateError(f"{vals[bad[0]]} candidate at spine interval I_{bad[0]}, "
+                                      f"n_max {n_max}")
     return CharacteristicEstimate(float(np.max(vals)), "joint_ap", ("spine", n_max), p)
 
 
 def spine_joint_ap_values(w: Density, sigma: Density, p: float, n_max: int) -> np.ndarray:
+    """<w>_{I_k} <sigma>_{I_k}^(p-1) for k <= n_max; 0 where an average is
+    zero or subnormal in extended precision, which has lost its relative
+    precision (the max over the other I_k is still a lower bound)."""
     # the averages alone overflow extended precision on deep spines; the
     # products stay bounded, so combine them in log space
     iw, _ = w.spine_averages(n_max)
     isig, _ = sigma.spine_averages(n_max)
-    with np.errstate(divide="ignore"):  # underflowed averages drop out as -inf
-        logs = np.log(iw) + _LD(p - 1.0) * np.log(isig)
+    tiny = np.finfo(_LD).tiny
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.where(iw < tiny, 0, iw)) \
+            + _LD(p - 1.0) * np.log(np.where(isig < tiny, 0, isig))
     return np.exp(logs).astype(float)
 
 

@@ -1,9 +1,10 @@
-"""Command-line front end: experiment dispatch and CSV emission.
+"""Command-line front end: parse the arguments, run the subcommand's
+experiment (one function of ``experiments``) and write its Report as a CSV.
 
 Every ``--family`` is checked against ``experiments.FAMILIES``: the family
-must support the subcommand (square-function needs a test function of finite
-snorm, scaling a beta sweep, divergence a divergence table, extension-check a
-line extension), and ``--beta`` and ``--r`` must be the parameters it takes.
+must support the subcommand (square-function and scaling need a test function
+of finite snorm, divergence a divergence table, extension-check a line
+extension), and ``--beta`` and ``--r`` must be the parameters it takes.
 A parameter left out takes its default (lai_treil's r), and the CSV metadata
 records the value used.  An unknown family, an unsupported subcommand, and a
 parameter the family does not take or lacks (without a default) all exit 3.
@@ -22,18 +23,17 @@ import os
 import sys
 
 from . import __version__
-from .characteristics import dyadic_ainfty, dyadic_joint_ap, spine_joint_ap
 from .experiments import (
-    DivergenceReport,
-    ScalingReport,
+    Report,
     ainfty_growth_experiment,
+    characteristics_experiment,
     default_beta_grid,
     divergence_experiment,
-    extension_experiment,
-    family_entry,
+    extension_check_experiment,
     scaling_experiment,
+    square_function_experiment,
 )
-from .squarefn import FULL_TREE_MAX_DEPTH, TailNotCertifiedError, weighted_snorm
+from .squarefn import TailNotCertifiedError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,21 +51,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit_csv(path: str, metadata: dict, header: list[str], rows,
-             fits: dict | None = None, timestamp: bool = True) -> None:
+def emit_csv(path: str, report: Report, timestamp: bool) -> None:
     """UTF-8 CSV: '#'-prefixed metadata, header, data rows, '#fit' footer.
 
     The file appears complete or not at all.
     """
     lines = [f"# tool: dyadicsq {__version__}"]
-    for k, v in metadata.items():
-        lines.append(f"# {k}: {_fmt(v)}")
+    lines += [f"# {k}: {_fmt(v)}" for k, v in report.meta.items()]
     if timestamp:
         lines.append(f"# timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    for name, fit in (fits or {}).items():
+    lines.append(",".join(report.columns))
+    lines += [",".join(_fmt(v) for v in row) for row in report.rows()]
+    for name, fit in report.fits.items():
         lines.append(
             f"#fit,name={name},slope={_fmt(fit.slope)},intercept={_fmt(fit.intercept)},"
             f"max_residual={_fmt(fit.max_residual)},"
@@ -88,10 +85,12 @@ def _resolve_out(path: str) -> str:
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), path)
 
 
-def _parse_beta_grid(args) -> list[float]:
+def _parse_beta_grid(args) -> list[float] | None:
+    """The betas of --beta-list or --beta-grid; None (the experiment's
+    default grid) if neither is given."""
     if args.beta_list:
         betas = [float(t) for t in args.beta_list.split(",")]
-    else:
+    elif args.beta_grid:
         spec = args.beta_grid
         if not spec.startswith("j=") or ".." not in spec:
             raise ValueError(f"grid spec must look like j=3..8, got {spec!r}")
@@ -100,104 +99,12 @@ def _parse_beta_grid(args) -> list[float]:
         if b < a:
             raise ValueError("empty grid range")
         betas = list(default_beta_grid(range(a, b + 1)))
+    else:
+        return None
     for b in betas:
         if not 0.0 < b < 1.0:
             raise ValueError(f"beta {b} outside (0, 1)")
     return betas
-
-
-def _family(args, capability: str | None = None):
-    """The table entry of --family, which must have ``capability``, and its
-    parameters from --beta and --r, checked against the ones it takes."""
-    fam = family_entry(args.family, capability)
-    return fam, fam.resolve(args.p, beta=args.beta, r=args.r)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_characteristics(args) -> None:
-    fam, params = _family(args)
-    inst = fam.make(args.p, **params)
-    if not 1 <= args.depth <= FULL_TREE_MAX_DEPTH:
-        raise ValueError(f"depth must lie in [1, {FULL_TREE_MAX_DEPTH}]")
-    n_max = max(4 * args.depth, 256)
-    joint = dyadic_joint_ap(inst.w, inst.sigma, args.p, args.depth)
-    spine = spine_joint_ap(inst.w, inst.sigma, args.p, n_max)
-    aw = dyadic_ainfty(inst.w, mode="radial", n_max=n_max)
-    asig = dyadic_ainfty(inst.sigma, mode="radial", n_max=n_max)
-    emit_csv(args.out, {"family": args.family, "p": args.p, **params, "depth": args.depth,
-                        "n_max": n_max},
-             ["joint_ap_dyadic", "joint_ap_spine", "ainfty_w", "ainfty_sigma"],
-             [(joint.value, spine.value, aw.value, asig.value)],
-             timestamp=not args.no_timestamp)
-
-
-def _cmd_square_function(args) -> None:
-    fam, params = _family(args, "test_function")
-    family_entry(args.family, "finite_snorm")  # lai_treil, direct_sum: S(sigma f) not in L^p(w)
-    inst = fam.make(args.p, **params)
-    if args.n_max < 4:
-        raise ValueError("n-max must be >= 4")
-    snorm = weighted_snorm(inst.sigma_f, inst.w, args.p, n_max=args.n_max,
-                           tail_rel_tol=args.tail_rel_tol)
-    emit_csv(args.out, {"family": args.family, "p": args.p, **params, "n_max": args.n_max,
-                        "tail_rel_tol": args.tail_rel_tol},
-             ["snorm_lower", "fnorm"], [(snorm, inst.fnorm)],
-             timestamp=not args.no_timestamp)
-
-
-def _report_rows(report: ScalingReport | DivergenceReport, keys: list[str]):
-    cols = [report.columns[k] for k in keys]
-    return zip(*(c.tolist() for c in cols))
-
-
-def _emit_sweep(args, meta: dict, report: ScalingReport, keys: list[str]) -> None:
-    """A beta sweep's CSV: one row per beta, and the notes after ``meta``."""
-    rows = [(b, *vals) for b, vals in zip(report.params.tolist(), _report_rows(report, keys))]
-    emit_csv(args.out, {**meta, "notes": "; ".join(report.notes)}, ["beta"] + keys, rows,
-             report.fits, timestamp=not args.no_timestamp)
-
-
-def _cmd_scaling(args) -> None:
-    betas = _parse_beta_grid(args)
-    report = scaling_experiment(args.family, args.p, betas)
-    _emit_sweep(args, {"command": "scaling", "family": args.family, "p": args.p}, report,
-                ["fnorm", "snorm", "ap_joint", "ainfty_w", "ainfty_sigma", "ratio"])
-
-
-def _cmd_divergence(args) -> None:
-    report = divergence_experiment(args.family, args.p, args.r, args.k_max)
-    keys = list(report.columns)
-    rows = list(_report_rows(report, keys))
-    meta = {"command": "divergence", "family": args.family, "p": args.p,
-            **report.params, "notes": "; ".join(report.notes)}
-    emit_csv(args.out, meta, keys, rows, report.fits, timestamp=not args.no_timestamp)
-
-
-def _cmd_extension_check(args) -> None:
-    _, params = _family(args, "extension_x0")
-    if args.span < 1:
-        raise ValueError("span must be >= 1")
-    res = extension_experiment(args.family, args.p, args.span,
-                               2.0 ** -args.grid_log2, **params)
-    meta = {"command": "extension-check", "family": args.family, "p": args.p, **params,
-            "grid_step": 2.0 ** -args.grid_log2}
-    keys = ["span", "scan_max", "scan_max_doubled", "span_doubling_ratio",
-            "unit_cell_dyadic"]
-    emit_csv(args.out, meta, keys, [tuple(res[k] for k in keys)],
-             timestamp=not args.no_timestamp)
-
-
-def _cmd_ainfty_growth(args) -> None:
-    betas = _parse_beta_grid(args)
-    report = ainfty_growth_experiment(args.p, betas)
-    _emit_sweep(args, {"command": "ainfty-growth", "p": args.p}, report,
-                ["n_max", "ainfty_w", "ainfty_sigma"])
-
-
-# ---------------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,43 +122,46 @@ def _build_parser() -> argparse.ArgumentParser:
         if family:
             sp.add_argument("--family", required=True)
         if beta:
-            sp.add_argument("--beta", type=float, default=None)
+            sp.add_argument("--beta", type=float)
         if r:
-            sp.add_argument("--r", type=float, default=None)
+            sp.add_argument("--r", type=float)
 
     sp = sub.add_parser("characteristics", help="A_p / A_infty estimates for one pair")
     common(sp, beta=True, r=True)
     sp.add_argument("--depth", type=int, default=14)
-    sp.set_defaults(fn=_cmd_characteristics)
+    sp.set_defaults(fn=lambda a: characteristics_experiment(a.family, a.p, a.depth,
+                                                          beta=a.beta, r=a.r))
 
     sp = sub.add_parser("square-function", help="certified weighted snorm lower bound")
     common(sp, beta=True, r=True)
     sp.add_argument("--n-max", type=int, default=256)
     sp.add_argument("--tail-rel-tol", type=float, default=1e-9)
-    sp.set_defaults(fn=_cmd_square_function)
+    sp.set_defaults(fn=lambda a: square_function_experiment(
+        a.family, a.p, a.n_max, a.tail_rel_tol, beta=a.beta, r=a.r))
 
     sp = sub.add_parser("scaling", help="beta sweep with exponent fits")
     common(sp)
-    sp.add_argument("--beta-grid", default="j=3..8")
-    sp.add_argument("--beta-list", default=None)
-    sp.set_defaults(fn=_cmd_scaling)
+    sp.add_argument("--beta-grid")
+    sp.add_argument("--beta-list")
+    sp.set_defaults(fn=lambda a: scaling_experiment(a.family, a.p, _parse_beta_grid(a)))
 
     sp = sub.add_parser("divergence", help="partial-mass / partial-sum divergence tables")
     common(sp, r=True)
     sp.add_argument("--k-max", type=int, default=10 ** 4)
-    sp.set_defaults(fn=_cmd_divergence)
+    sp.set_defaults(fn=lambda a: divergence_experiment(a.family, a.p, a.r, k_max=a.k_max))
 
     sp = sub.add_parser("extension-check", help="periodized pair interval scans")
     common(sp, beta=True, r=True)
     sp.add_argument("--span", type=int, default=4)
     sp.add_argument("--grid-log2", type=int, default=12)
-    sp.set_defaults(fn=_cmd_extension_check)
+    sp.set_defaults(fn=lambda a: extension_check_experiment(
+        a.family, a.p, a.span, 2.0 ** -a.grid_log2, beta=a.beta, r=a.r))
 
     sp = sub.add_parser("ainfty-growth", help="radial A_infty growth sweep")
     common(sp, family=False)
-    sp.add_argument("--beta-grid", default="j=3..8")
-    sp.add_argument("--beta-list", default=None)
-    sp.set_defaults(fn=_cmd_ainfty_growth)
+    sp.add_argument("--beta-grid")
+    sp.add_argument("--beta-list")
+    sp.set_defaults(fn=lambda a: ainfty_growth_experiment(a.p, _parse_beta_grid(a)))
     return parser
 
 
@@ -272,7 +182,7 @@ def run(argv=None) -> int:
         return _fail(EXIT_PRECONDITION, ValueError("p must be > 1"))
     args.out = _resolve_out(args.out)
     try:
-        args.fn(args)
+        emit_csv(args.out, args.fn(args), not args.no_timestamp)
     except TailNotCertifiedError as e:
         return _fail(EXIT_UNCERTIFIED, e)
     except ValueError as e:  # NonIntegrableError, ExtensionHypothesisError, NonFinite{Candidate,Term}Error

@@ -1,4 +1,5 @@
-"""Parameter sweeps, exponent fitting, divergence and extension experiments.
+"""One experiment per CLI subcommand, each returning a :class:`Report`, and
+the family table ``FAMILIES`` that they check their arguments against.
 
 Every column produced here is a certified lower bound of the quantity it
 estimates (norm truncations only drop nonnegative terms; characteristic
@@ -25,7 +26,7 @@ from .families import (
     lerner_family,
     power_pair,
 )
-from .squarefn import partial_mass_profile, spine_profile, weighted_snorm
+from .squarefn import FULL_TREE_MAX_DEPTH, partial_mass_profile, spine_profile, weighted_snorm
 
 DEFAULT_J_RANGE = range(3, 9)
 # the sweep tail tolerance: at beta = 1 - 2^-8 the extended-precision spine
@@ -53,23 +54,17 @@ class FitResult:
 
 
 @dataclass(frozen=True)
-class ScalingReport:
-    family: str
-    p: float
-    params: np.ndarray  # the swept betas
-    columns: dict[str, np.ndarray]
-    fits: dict[str, FitResult] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
+class Report:
+    """One experiment's result: the CSV metadata in the order it is written,
+    the columns in header order (one value per row), and the exponent fits."""
 
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    family: str
-    p: float
-    params: dict
-    columns: dict[str, np.ndarray]
+    meta: dict
+    columns: dict
     fits: dict[str, FitResult] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
+
+    def rows(self):
+        """The data rows, as Python numbers."""
+        return zip(*(np.asarray(c).tolist() for c in self.columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +75,16 @@ class DivergenceReport:
 class Family:
     """An example family: ``make(p, **params)`` builds it, and ``params`` maps
     each parameter to its default as a function of p (None: no default).  The
-    rest say which experiments apply: a test function, a finite snorm (S(sigma f)
-    in L^p(w)), a beta sweep, a table ``divergence(p, k_max, **params)``, a line
-    extension from [extension_x0, 1)."""
+    rest say which experiments apply: a finite snorm (a test function f with
+    S(sigma f) in L^p(w), which square-function bounds and scaling sweeps in
+    beta), a table ``divergence(p, k_max, **params)``, a line extension from
+    [extension_x0, 1)."""
 
     name: str
     make: Callable[..., FamilyInstance]
     params: dict = field(default_factory=dict)
-    test_function: bool = False
     finite_snorm: bool = False
-    scaling: bool = False
-    divergence: Callable[..., DivergenceReport] | None = None
+    divergence: Callable[..., Report] | None = None
     extension_x0: float | None = None
 
     def resolve(self, p: float, **given) -> dict:
@@ -109,20 +103,19 @@ class Family:
 # The entries call the constructors by their module-level names, which a
 # tracer can rebind; a constructor held in a field could not be.
 FAMILIES = {f.name: f for f in (
-    Family("lerner", lambda p, beta: lerner_family(p, beta), {"beta": None},
-           test_function=True, finite_snorm=True, scaling=True),
+    Family("lerner", lambda p, beta: lerner_family(p, beta), {"beta": None}, finite_snorm=True),
     Family("alternating", lambda p, beta: alternating_family(p, beta), {"beta": None},
-           test_function=True, finite_snorm=True, scaling=True),
+           finite_snorm=True),
     Family("power_pair_i", lambda p, beta: power_pair(p, beta, "i"), {"beta": None},
            extension_x0=0.5),
     Family("power_pair_ii", lambda p, beta: power_pair(p, beta, "ii"), {"beta": None},
            extension_x0=0.5),
-    Family("lai_treil", lambda p, r: lai_treil_family(p, r), {"r": default_r}, test_function=True,
+    Family("lai_treil", lambda p, r: lai_treil_family(p, r), {"r": default_r},
            divergence=lambda p, k_max, r: lai_treil_divergence(p, r, k_max), extension_x0=0.5),
-    Family("direct_sum", lambda p: direct_sum_family(p), test_function=True,
+    Family("direct_sum", lambda p: direct_sum_family(p),
            divergence=lambda p, k_max: direct_sum_divergence(p, k_max), extension_x0=0.75),
     Family("constant", lambda p: FamilyInstance(
-        "constant", p, {}, Constant(1.0), Constant(1.0), None, None), extension_x0=0.5),
+        "constant", p, Constant(1.0), Constant(1.0), None, None), extension_x0=0.5),
 )}
 
 
@@ -162,17 +155,55 @@ def _fit_tail(xs: np.ndarray, ys: np.ndarray, skip: int = 2) -> FitResult:
     return FitResult(sl, ic, res, (float(xs[skip]), float(xs[-1])))
 
 
+def characteristics_experiment(family: str, p: float, depth: int, **given) -> Report:
+    """One pair's dyadic joint A_p to ``depth``, and its spine joint A_p and
+    radial A_infty of both weights to n_max = max(4 depth, 256)."""
+    fam = family_entry(family)
+    params = fam.resolve(p, **given)
+    inst = fam.make(p, **params)
+    if not 1 <= depth <= FULL_TREE_MAX_DEPTH:
+        raise ValueError(f"depth must lie in [1, {FULL_TREE_MAX_DEPTH}]")
+    n_max = max(4 * depth, 256)
+    estimates = {"joint_ap_dyadic": dyadic_joint_ap(inst.w, inst.sigma, p, depth),
+                 "joint_ap_spine": spine_joint_ap(inst.w, inst.sigma, p, n_max),
+                 "ainfty_w": dyadic_ainfty(inst.w, mode="radial", n_max=n_max),
+                 "ainfty_sigma": dyadic_ainfty(inst.sigma, mode="radial", n_max=n_max)}
+    return Report({"family": family, "p": p, **params, "depth": depth, "n_max": n_max},
+                  {k: [e.value] for k, e in estimates.items()})
+
+
+def square_function_experiment(family: str, p: float, n_max: int, tail_rel_tol: float,
+                               **given) -> Report:
+    """Certified lower bound of ||S(sigma f)||_{L^p(w)} from the shells up to
+    ``n_max``, next to ||f||_{L^p(sigma)}."""
+    fam = family_entry(family, "finite_snorm")  # lai_treil, direct_sum: S(sigma f) not in L^p(w)
+    params = fam.resolve(p, **given)
+    inst = fam.make(p, **params)
+    if n_max < 4:
+        raise ValueError("n-max must be >= 4")
+    snorm = weighted_snorm(inst.sigma_f, inst.w, p, n_max=n_max, tail_rel_tol=tail_rel_tol)
+    return Report({"family": family, "p": p, **params, "n_max": n_max,
+                   "tail_rel_tol": tail_rel_tol},
+                  {"snorm_lower": [snorm], "fnorm": [inst.fnorm]})
+
+
+def _beta_grid(betas) -> np.ndarray:
+    """The sorted betas of a sweep (None: the default grid), at least 3."""
+    betas = default_beta_grid() if betas is None else np.sort(np.asarray(betas, dtype=float))
+    if betas.size < 3:
+        raise ValueError("need at least 3 grid points")
+    return betas
+
+
 def _sweep_n_max(beta: float) -> int:
     return max(int(math.ceil(32.0 / (1.0 - beta))), 256)
 
 
-def scaling_experiment(family: str, p: float, betas=None) -> ScalingReport:
+def scaling_experiment(family: str, p: float, betas=None) -> Report:
     """Sweep beta -> (fnorm, snorm lower bound, joint A_p, radial A_infty of
     both weights, residual ratio), with power-law fits in (1-beta)^-1."""
-    make = family_entry(family, "scaling").make
-    betas = default_beta_grid() if betas is None else np.sort(np.asarray(betas, dtype=float))
-    if betas.size < 3:
-        raise ValueError("need at least 3 grid points")
+    make = family_entry(family, "finite_snorm").make
+    betas = _beta_grid(betas)
     cols = {k: np.empty(betas.size) for k in
             ("fnorm", "snorm", "ap_joint", "ainfty_w", "ainfty_sigma", "ratio")}
     for i, beta in enumerate(betas):
@@ -189,17 +220,16 @@ def scaling_experiment(family: str, p: float, betas=None) -> ScalingReport:
         cols["ratio"][i] = snorm / (cols["fnorm"][i] * ap ** (1.0 / p))
     xs = 1.0 / (1.0 - betas)
     fits = {"snorm": _fit_tail(xs, cols["snorm"]), "ratio": _fit_tail(xs, cols["ratio"])}
-    return ScalingReport(family, p, betas, cols, fits,
-                         notes=("fit window excludes the two smallest beta values",))
+    return Report({"command": "scaling", "family": family, "p": p,
+                   "notes": "fit window excludes the two smallest beta values"},
+                  {"beta": betas, **cols}, fits)
 
 
-def ainfty_growth_experiment(p: float, betas=None) -> ScalingReport:
+def ainfty_growth_experiment(p: float, betas=None) -> Report:
     """Radial Fujii-Wilson A_infty of x^-beta (fitted growth) and of the dual
     companion x^(beta/(p-1)) (boundedness table) across the beta grid."""
-    betas = default_beta_grid() if betas is None else np.sort(np.asarray(betas, dtype=float))
-    if betas.size < 3:
-        raise ValueError("need at least 3 grid points")
-    cols = {k: np.empty(betas.size) for k in ("ainfty_w", "ainfty_sigma", "n_max")}
+    betas = _beta_grid(betas)
+    cols = {k: np.empty(betas.size) for k in ("n_max", "ainfty_w", "ainfty_sigma")}
     for i, beta in enumerate(betas):
         nm = int(math.ceil(GROWTH_DEPTH_FACTOR / (1.0 - beta)))
         cols["n_max"][i] = nm
@@ -207,10 +237,10 @@ def ainfty_growth_experiment(p: float, betas=None) -> ScalingReport:
         cols["ainfty_sigma"][i] = dyadic_ainfty(
             Power(1.0, beta / (p - 1.0)), mode="radial", n_max=nm).value
     xs = 1.0 / (1.0 - betas)
-    fits = {"ainfty_w": _fit_tail(xs, cols["ainfty_w"])}
     sig = cols["ainfty_sigma"]
-    return ScalingReport("power_weights", p, betas, cols, fits,
-                         notes=(f"sigma A_infty spread max/min = {sig.max() / sig.min():.6f}",))
+    return Report({"command": "ainfty-growth", "p": p,
+                   "notes": f"sigma A_infty spread max/min = {sig.max() / sig.min():.6f}"},
+                  {"beta": betas, **cols}, {"ainfty_w": _fit_tail(xs, cols["ainfty_w"])})
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +251,7 @@ def _log_spaced_ks(k_max: int, n_pts: int = 160) -> np.ndarray:
     return np.unique(np.geomspace(1, k_max, n_pts).astype(np.int64))
 
 
-def lai_treil_divergence(p: float, r: float, k_max: int) -> DivergenceReport:
+def lai_treil_divergence(p: float, r: float, k_max: int) -> Report:
     """Partial masses m_k of int_{I_k} S(sigma f)^p w against the closed-form
     lower bound C1 * C2' * (sum_{n=2}^{k+1} n^-2r)^(p/2-1)."""
     if not 1 <= k_max <= 10 ** 6:
@@ -242,9 +272,10 @@ def lai_treil_divergence(p: float, r: float, k_max: int) -> DivergenceReport:
     with np.errstate(divide="ignore"):
         ratio = np.where(bound > 0, mk / np.where(bound > 0, bound, 1.0), np.inf)
     cols = {"k": ks.astype(float), "partial_mass": mk, "paper_bound": bound, "ratio": ratio}
-    return DivergenceReport(
-        "lai_treil", p, {"r": r, "k_max": k_max}, cols, {"partial_mass": fit},
-        notes=(f"theoretical growth exponent (1-2r)(p/2-1) = {(1 - 2 * r) * (p / 2 - 1):.6f}",))
+    return Report({"command": "divergence", "family": "lai_treil", "p": p, "r": r, "k_max": k_max,
+                   "notes": f"theoretical growth exponent (1-2r)(p/2-1) = "
+                            f"{(1 - 2 * r) * (p / 2 - 1):.6f}"},
+                  cols, {"partial_mass": fit})
 
 
 def _exp_series(s: float, a: np.ndarray) -> np.ndarray:
@@ -292,7 +323,7 @@ def direct_sum_block_snorm_p(k, p: float) -> np.ndarray:
     return k ** (-p / 2.0 - 1.0) * (2.0 / 3.0) ** p * (np.exp2(1.0 / k) - 1.0) * series
 
 
-def direct_sum_divergence(p: float, k_max: int = 10 ** 4) -> DivergenceReport:
+def direct_sum_divergence(p: float, k_max: int) -> Report:
     """Convergent ||f||^p partial sums versus divergent square-norm^p partial
     sums over the first K odd blocks, with a log-growth fit for the latter."""
     if not 3 <= k_max <= 10 ** 6:
@@ -313,13 +344,13 @@ def direct_sum_divergence(p: float, k_max: int = 10 ** 4) -> DivergenceReport:
     fit = FitResult(float(sl), float(ic), res, (float(Ks[window][0]), float(Ks[-1])))
     cols = {"K": Ks.astype(float), "fnorm_p_partial": fnorm_partial,
             "fnorm_p_tail_bound": tail, "snorm_p_partial": snorm_partial}
-    return DivergenceReport("direct_sum", p, {"k_max": k_max}, cols,
-                            {"snorm_p_partial": fit},
-                            notes=("snorm fit is affine in ln K, not a power law",))
+    return Report({"command": "divergence", "family": "direct_sum", "p": p, "k_max": k_max,
+                   "notes": "snorm fit is affine in ln K, not a power law"},
+                  cols, {"snorm_p_partial": fit})
 
 
-def divergence_experiment(family: str, p: float, r: float | None = None,
-                          k_max: int = 10 ** 4) -> DivergenceReport:
+def divergence_experiment(family: str, p: float, r: float | None = None, *,
+                          k_max: int) -> Report:
     fam = family_entry(family, "divergence")
     return fam.divergence(p, k_max, **fam.resolve(p, r=r))
 
@@ -328,19 +359,23 @@ def divergence_experiment(family: str, p: float, r: float | None = None,
 # extension to the line
 
 
-def extension_experiment(family: str, p: float, span: int = 4,
-                         grid_step: float = 2.0 ** -12, **params) -> dict:
+def extension_experiment(family: str, p: float, span: int, grid_step: float, **given) -> dict:
     """Periodize a unit-interval pair to the line and scan the joint A_p
     characteristic at spans `span` and `2 * span` (one shared pass for even
-    spans, see ``interval_scans_joint_ap``)."""
+    spans, see ``interval_scans_joint_ap``); "params" holds the family's
+    parameters, the given ones or their defaults."""
     fam = family_entry(family, "extension_x0")
-    inst = fam.make(p, **fam.resolve(p, **params))
+    params = fam.resolve(p, **given)
+    if span < 1:
+        raise ValueError("span must be >= 1")
+    inst = fam.make(p, **params)
     ext = extend_to_line(inst, fam.extension_x0)
     scan1, scan2 = interval_scans_joint_ap(ext.w, ext.sigma, p, (span, 2 * span), grid_step)
     unit = dyadic_joint_ap(inst.w, inst.sigma, p, depth=12)
     return {
         "family": family,
         "p": p,
+        "params": params,
         "span": span,
         "grid_step": grid_step,
         "scan_max": scan1.value,
@@ -348,3 +383,13 @@ def extension_experiment(family: str, p: float, span: int = 4,
         "span_doubling_ratio": scan2.value / scan1.value,
         "unit_cell_dyadic": unit.value,
     }
+
+
+def extension_check_experiment(family: str, p: float, span: int, grid_step: float,
+                               **given) -> Report:
+    """:func:`extension_experiment` as a one-row Report."""
+    res = extension_experiment(family, p, span, grid_step, **given)
+    return Report({"command": "extension-check", "family": family, "p": p, **res["params"],
+                   "grid_step": grid_step},
+                  {k: [res[k]] for k in ("span", "scan_max", "scan_max_doubled",
+                                         "span_doubling_ratio", "unit_cell_dyadic")})

@@ -36,7 +36,6 @@ _VERIFY_TOL = 1e-10
 class FamilyInstance:
     name: str
     p: float
-    params: dict
     w: Density
     sigma: Density
     sigma_f: Density | None
@@ -71,18 +70,11 @@ def lerner_family(p: float, beta: float) -> FamilyInstance:
     inst = FamilyInstance(
         name="lerner",
         p=p,
-        params={"beta": beta},
         w=Power(1.0, beta * (p - 1.0)),
         sigma=Power(1.0, -beta),
         sigma_f=Power(1.0, -beta),
         fnorm_p_density=Power(1.0, -beta),
-        predicted={
-            "fnorm_p": 1.0 / (1.0 - beta),
-            "snorm_slope": 1.0 + 1.0 / p,
-            "ratio_slope": 1.0 / p,          # the psi exponent
-            "joint_ap_slope": p - 1.0,
-            "ainfty_singular_weight": "sigma",
-        },
+        predicted={"fnorm_p": 1.0 / (1.0 - beta)},
     )
     _verify_fnorm(inst)
     return inst
@@ -98,19 +90,11 @@ def alternating_family(p: float, beta: float) -> FamilyInstance:
     inst = FamilyInstance(
         name="alternating",
         p=p,
-        params={"beta": beta},
         w=Power(1.0, -beta),
         sigma=Power(1.0, g),
         sigma_f=SignModulate(Constant(1.0)),
         fnorm_p_density=Power(1.0, -beta),
-        predicted={
-            "fnorm_p": 1.0 / (1.0 - beta),
-            "snorm_slope": 0.5 + 1.0 / p,
-            "ratio_slope": 0.5 - 1.0 / p,    # the phi exponent
-            "operator_ratio_slope": 0.5,
-            "joint_ap_slope": 1.0,
-            "ainfty_singular_weight": "w",
-        },
+        predicted={"fnorm_p": 1.0 / (1.0 - beta)},
     )
     _verify_fnorm(inst)
     return inst
@@ -140,7 +124,6 @@ def power_pair(p: float, beta: float, variant: str) -> FamilyInstance:
     return FamilyInstance(
         name=f"power_pair_{variant}",
         p=p,
-        params={"beta": beta},
         w=w,
         sigma=sigma,
         sigma_f=None,
@@ -165,20 +148,17 @@ def lai_treil_family(p: float, r: float) -> FamilyInstance:
     inst = FamilyInstance(
         name="lai_treil",
         p=p,
-        params={"r": r, "alpha": alpha},
         w=LogPowerOverX(1.0, 1.0 - alpha),
         sigma=Power(1.0, g),
         sigma_f=SignModulate(LogPowerPlain(r)),
         fnorm_p_density=LogPowerOverX(1.0, p * r),
         predicted={
             "fnorm_p": LN2 / (p * r - 1.0),
-            "spine_diff_lower": lambda k: 1.0 / (4.0 * (k + 2.0) ** r),
             "w_spine_mass": lambda k: -LN2 / alpha * (k + 1.0) ** alpha,
             "case_a_product": lambda b: -LN2 / alpha * ((p - 1.0) / p) ** (p - 1.0)
             * (1.0 - math.log2(b)) ** alpha,
             "partial_mass_c1": 4.0 ** -p,
             "partial_mass_c2": LN2 * (2.0 ** alpha - 3.0 ** alpha) / (2.0 ** (alpha + 1.0) * alpha ** 2),
-            "growth_slope": (1.0 - 2.0 * r) * (p / 2.0 - 1.0),
         },
     )
     _verify_fnorm(inst)
@@ -241,17 +221,11 @@ def direct_sum_family(p: float) -> FamilyInstance:
     inst = FamilyInstance(
         name="direct_sum",
         p=p,
-        params={},
         w=PiecewiseDyadic(w_piece, "direct_sum w"),
         sigma=PiecewiseDyadic(sigma_piece, "direct_sum sigma"),
         sigma_f=PiecewiseDyadic(sigma_f_piece, "direct_sum sigma*f"),
         fnorm_p_density=PiecewiseDyadic(fnorm_piece, "direct_sum |f|^p sigma"),
-        predicted={
-            "block_fnorm_p": lambda k: float(k) ** (-p / 2.0),
-            "fnorm_p_partial": lambda n_blocks: sum(
-                (2 * j + 1) ** (-p / 2.0) for j in range(n_blocks)
-            ),
-        },
+        predicted={"block_fnorm_p": lambda k: float(k) ** (-p / 2.0)},
     )
     # closed form is per block here; verify the first blocks by integration
     for k in (1, 3, 5, 11, 25):
@@ -315,7 +289,6 @@ def extend_to_line(inst: FamilyInstance, x0: float = 0.5) -> FamilyInstance:
     return FamilyInstance(
         name=f"extended({inst.name})",
         p=inst.p,
-        params=dict(inst.params),
         w=PeriodicReflect(inst.w),
         sigma=PeriodicReflect(inst.sigma),
         sigma_f=inst.sigma_f,

@@ -73,6 +73,37 @@ def test_spine_product_general_closed_form():
             assert 1.0 / math.e <= want * (1.0 - beta) <= 1.0
 
 
+@pytest.mark.parametrize("family", ["lerner", "alternating"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("j", [8, 9])
+def test_spine_product_at_the_sweep_depth_is_the_closed_form(family, p, j):
+    # at n_max = 32/(1 - beta), the scaling sweep's depth, the deep spine
+    # averages of one weight are subnormal in extended precision; before they
+    # were dropped, lerner p = 4 at j = 8 came out 7.5% above this supremum
+    from dyadicsq.experiments import _sweep_n_max
+    from dyadicsq.families import alternating_family, lerner_family
+
+    beta = 1.0 - 2.0 ** -j
+    if family == "lerner":  # sigma = x^-beta, w = x^(beta(p-1))
+        inst = lerner_family(p, beta)
+        want = (1.0 + beta * (p - 1.0)) ** -1.0 * (1.0 - beta) ** (1.0 - p)
+    else:  # w = x^-beta, sigma = x^(beta/(p-1))
+        inst = alternating_family(p, beta)
+        want = (1.0 - beta) ** -1.0 * (1.0 + beta / (p - 1.0)) ** (1.0 - p)
+    got = spine_joint_ap(inst.w, inst.sigma, p, _sweep_n_max(beta)).value
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_an_overflowed_spine_product_is_a_precondition_error():
+    # near I_16384 the extended-precision spine averages of w = x^-beta overflow
+    from dyadicsq.families import alternating_family
+
+    inst = alternating_family(3.0, 1.0 - 2.0 ** -10)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteCandidateError, match="n_max 32768"):
+        spine_joint_ap(inst.w, inst.sigma, 3.0, 32768)
+
+
 def test_muckenhoupt_constant():
     # [w]_{A_p} is the joint characteristic of w and its dual weight w^(-1/(p-1))
     assert dyadic_joint_ap(Constant(1.0), Constant(1.0), 2.0, 8).value == \

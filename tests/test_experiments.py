@@ -118,7 +118,7 @@ def test_lai_treil_divergence_report():
 
 def test_divergence_validation():
     with pytest.raises(ValueError):
-        divergence_experiment("lerner", 3.0)
+        divergence_experiment("lerner", 3.0, k_max=1000)
     with pytest.raises(ValueError):
         divergence_experiment("lai_treil", 3.0, 0.4, k_max=10 ** 7)
 
@@ -145,7 +145,7 @@ def test_extension_lai_treil_case_a_floor():
 
 def test_extension_unknown_family():
     with pytest.raises(ValueError):
-        extension_experiment("lerner", 3.0)
+        extension_experiment("lerner", 3.0, span=1, grid_step=2.0 ** -6)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -153,8 +153,8 @@ def test_the_table_declares_what_each_instance_carries(name):
     fam = FAMILIES[name]
     inst = fam.make(3.0, **fam.resolve(3.0, beta=0.5 if "beta" in fam.params else None))
     assert inst.name == name
-    assert (inst.sigma_f is not None) == fam.test_function
-    assert fam.test_function or not fam.finite_snorm  # a snorm needs a test function
+    assert inst.sigma_f is not None or not fam.finite_snorm  # a snorm needs a test function
+    assert (inst.sigma_f is not None) == (name not in ("power_pair_i", "power_pair_ii", "constant"))
     assert fam.finite_snorm == (name in ("lerner", "alternating"))  # S(sigma f) in L^p(w)
     assert set(fam.params) <= {"beta", "r"}  # the CLI's --beta and --r
 
@@ -167,8 +167,8 @@ def test_the_experiments_check_parameters_against_the_table():
     with pytest.raises(ValueError, match="direct_sum takes no --r"):
         divergence_experiment("direct_sum", 3.0, r=0.4, k_max=1000)
     with pytest.raises(ValueError, match="unknown family 'nope'"):
-        divergence_experiment("nope", 3.0)
-    assert divergence_experiment("lai_treil", 3.0, k_max=100).params["r"] == default_r(3.0)
+        divergence_experiment("nope", 3.0, k_max=1000)
+    assert divergence_experiment("lai_treil", 3.0, k_max=100).meta["r"] == default_r(3.0)
 
 
 # ---------------------------------------------------------------------------

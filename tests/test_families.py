@@ -182,6 +182,6 @@ def test_extend_to_line_x0_defaults():
 
 def test_extension_hypothesis_failure_detected():
     # a deliberately unmatched pair: both weights singular, ratio grows in k
-    bad = FamilyInstance("bad", 2.0, {}, Power(1.0, -0.9), Power(1.0, -0.9), None, None, {})
+    bad = FamilyInstance("bad", 2.0, Power(1.0, -0.9), Power(1.0, -0.9), None, None, {})
     with pytest.raises(ExtensionHypothesisError):
         check_extension_hypotheses(bad, 0.5)
