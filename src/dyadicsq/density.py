@@ -20,6 +20,12 @@ Conventions:
   doubling tree for double shell averages (``_suffix_fold``); the dropped tail
   is about 2^-128 of the sum for bounded shell averages and at most about
   2^-64 for averages growing like 2^(n/p), p > 2 (the direct-sum sigma*f);
+* ``spine_blocks(n_max)`` yields the same I_k averages in consecutive blocks.
+  A :class:`ShellwiseDensity` folds them ``_FOLD_BLOCK`` = 8192 at a time from
+  that block's own 8192 + 127 shells and holds one block at a time, so a
+  reduction over the blocks (``squarefn.partial_mass_profile``) runs in memory
+  independent of n_max; its ``spine_averages`` is the same blocks copied into
+  one array, so the eager and the streamed spine are one fold, float for float;
 * the shell averages of :class:`LogPowerPlain` are a 16-node Gauss-Legendre
   rule, summed node by node below shell 1024 and from there as its series in
   1/n, cut after 8 terms: the dropped terms are at most |binom(-s, 8)| n^-8
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -108,9 +114,16 @@ class Density:
         """Fresh spine averages, in closed form or by :class:`ShellwiseDensity`'s fold."""
         raise NotImplementedError
 
-    def _shell_avgs(self, n_hi: int):
-        """Extended-precision averages over J_1..J_{n_hi}, a fresh array."""
-        return self._spine_averages(n_hi)[1][1:]
+    def spine_blocks(self, n_max: int):
+        """The I_k averages of ``spine_averages(n_max)``, k = 0..n_max, as
+        consecutive blocks: one here, and for :class:`ShellwiseDensity` blocks
+        of ``_FOLD_BLOCK``, folded one at a time."""
+        yield self.spine_averages(n_max)[0]
+
+    def _shell_avgs(self, n_lo: int, n_hi: int):
+        """Extended-precision averages over J_{n_lo}..J_{n_hi}, a fresh array,
+        each shell's value independent of the range."""
+        raise NotImplementedError
 
     def spine_mass(self, k: int) -> float:
         """Mass of I_k = [0, 2^-k); overridden where 2^-k would underflow."""
@@ -127,6 +140,16 @@ class Density:
 _FOLD_BLOCK = 8192
 
 
+@cache
+def _fold_scalings():
+    """(2^-(j+1) for j < _FOLD_BLOCK + 127, 2^j for j < _FOLD_BLOCK), exact and
+    read-only: 266 KB, built on the first fold and shared by every block."""
+    down = np.full(_FOLD_BLOCK + _SUFFIX_TAPS - 1, _LD(0.5)).cumprod()
+    up = 0.5 / down[:_FOLD_BLOCK]
+    down.flags.writeable = up.flags.writeable = False
+    return down, up
+
+
 def _suffix_fold(shells):
     """i[k] = sum_{m=1}^{T} 2^-m shells[k+m-1] for k = 0..len(shells) - T.
 
@@ -140,9 +163,9 @@ def _suffix_fold(shells):
     [2^-8000, 2^8000] (every double), ±0, ±inf and NaN.
     """
     n = shells.size - _SUFFIX_TAPS + 1
-    down = np.full(min(n, _FOLD_BLOCK) + _SUFFIX_TAPS - 1, _LD(0.5)).cumprod()  # 2^-(j+1), exact
-    up = 0.5 / down[: min(n, _FOLD_BLOCK)]  # 2^j, exact
-    out, buf = np.empty(n, dtype=_LD), np.empty_like(down)
+    down, up = _fold_scalings()
+    out = np.empty(n, dtype=_LD)
+    buf = np.empty(min(n, _FOLD_BLOCK) + _SUFFIX_TAPS - 1, dtype=_LD)
     for b in range(0, n, _FOLD_BLOCK):
         m = min(_FOLD_BLOCK, n - b)
         width = m + _SUFFIX_TAPS - 1
@@ -159,10 +182,12 @@ def _suffix_fold(shells):
 class ShellwiseDensity(Density):
     """A density integrated shell by shell, for want of an antiderivative.
 
-    Subclasses supply ``_partial`` and ``_shell_avgs(n_hi)``, the averages over
-    J_1..J_{n_hi} in a fresh extended-precision array the caller may write to.
-    Spine averages are the suffix fold of the shell averages, and the masses of
-    [0, 2^-n) suffix sums of the shell masses.  For t in J_n, ``primitive(t)``
+    Subclasses supply ``_partial`` and ``_shell_avgs(n_lo, n_hi)``, the averages
+    over J_{n_lo}..J_{n_hi} in a fresh extended-precision array the caller may
+    write to, each shell's value independent of the range.  Spine averages are
+    the suffix fold of the shell averages, block by block (``spine_blocks``
+    holds one block at a time, ``spine_averages`` joins them), and the masses
+    of [0, 2^-n) suffix sums of the shell masses.  For t in J_n, ``primitive(t)``
     is the mass below 2^-n plus ``_partial``; those masses are cached on the
     instance, so each shell is summed once however many points it holds.
     """
@@ -174,12 +199,30 @@ class ShellwiseDensity(Density):
     def _below(self) -> dict[int, float]:
         return {}
 
-    def _spine_averages(self, n_max: int):
+    def _fold_blocks(self, n_max: int):
+        """(b, I_k averages, J_(k+1) averages) for the k in [b, b + _FOLD_BLOCK)
+        up to n_max, block by block: the suffix fold of the block's own
+        _FOLD_BLOCK + 127 shells, fresh per block.  A shell's value and an
+        output of the fold depend on neither the block nor n_max, so each
+        block holds the floats of one fold over all the shells."""
         if n_max > self._MAX_SPINE:
             raise NonIntegrableError(
                 f"{type(self).__name__}: spine depth limited to {self._MAX_SPINE}")
-        shells = self._shell_avgs(n_max + _SUFFIX_TAPS)
-        return _suffix_fold(shells), np.concatenate(([np.nan], shells[:n_max]))
+        for b in range(0, n_max + 1, _FOLD_BLOCK):
+            m = min(_FOLD_BLOCK, n_max + 1 - b)
+            shells = self._shell_avgs(b + 1, b + m + _SUFFIX_TAPS - 1)
+            yield b, _suffix_fold(shells), shells[:m]
+
+    def spine_blocks(self, n_max: int):
+        return (i_avg for _, i_avg, _ in self._fold_blocks(n_max))
+
+    def _spine_averages(self, n_max: int):
+        i_avg, j_avg = np.empty(n_max + 1, dtype=_LD), np.empty(n_max + 2, dtype=_LD)
+        j_avg[0] = np.nan
+        for b, i_block, shells in self._fold_blocks(n_max):
+            i_avg[b : b + i_block.size] = i_block
+            j_avg[b + 1 : b + 1 + shells.size] = shells
+        return i_avg, j_avg[: n_max + 1]
 
     def _masses_below(self, ns):
         """Masses of [0, 2^-n) for the shells ns: the _SUFFIX_TAPS shell masses
@@ -191,7 +234,7 @@ class ShellwiseDensity(Density):
         this summation order.
         """
         hi = int(ns.max()) + _SUFFIX_TAPS
-        masses = np.ldexp(self._shell_avgs(hi), -np.arange(1, hi + 1)).astype(float)
+        masses = np.ldexp(self._shell_avgs(1, hi), -np.arange(1, hi + 1)).astype(float)
         windows = np.lib.stride_tricks.sliding_window_view(masses, _SUFFIX_TAPS)[ns]
         return np.cumsum(windows, axis=1)[:, -1]
 
@@ -231,6 +274,9 @@ class Constant(Density):
         i_avg = np.full(n_max + 1, _LD(self.c))
         return i_avg, np.concatenate(([np.nan], i_avg[1:]))
 
+    def _shell_avgs(self, n_lo: int, n_hi: int):
+        return np.full(n_hi - n_lo + 1, _LD(self.c))
+
 
 @dataclass(frozen=True)
 class Power(Density):
@@ -255,14 +301,20 @@ class Power(Density):
         g1 = self.gamma + 1.0
         return self.c * np.power(t, g1) / g1
 
-    def _spine_averages(self, n_max: int):
-        k = _as_longdouble(np.arange(n_max + 1))
+    def _averages(self, k):
+        """(<g>_{I_k}, <g>_{J_k}) at the integers k, elementwise (J_0 is no shell)."""
         g = _LD(self.gamma)
-        scale = np.exp2(-g * k)  # 2^(-gamma*k)
-        i_avg = _LD(self.c) / (g + 1) * scale
-        j_avg = _LD(self.c) * (np.exp2(g + 1) - 1) / (g + 1) * scale
+        scale = np.exp2(-g * _as_longdouble(k))  # 2^(-gamma*k)
+        return (_LD(self.c) / (g + 1) * scale,
+                _LD(self.c) * (np.exp2(g + 1) - 1) / (g + 1) * scale)
+
+    def _spine_averages(self, n_max: int):
+        i_avg, j_avg = self._averages(np.arange(n_max + 1))
         j_avg[0] = np.nan
         return i_avg, j_avg
+
+    def _shell_avgs(self, n_lo: int, n_hi: int):
+        return self._averages(np.arange(n_lo, n_hi + 1))[1]
 
     def log_shell_masses(self, n_max: int):
         """log of the shell masses |J_n|*<g>_{J_n}, n = 0..n_max (entry 0 is nan)."""
@@ -303,11 +355,18 @@ class LogPowerOverX(Density):
         pos = t > 0
         return np.where(pos, self.c * LN2 / (self.s - 1.0) * np.where(pos, _u(np.where(pos, t, 0.5)), 1.0) ** (1.0 - self.s), 0.0)
 
-    def _spine_averages(self, n_max: int):
-        k = np.arange(n_max + 1)
+    def _i_avgs(self, k):
+        """<g>_{I_k} at the integers k, elementwise."""
         masses = _as_longdouble(self.c * LN2 / (self.s - 1.0) * (1.0 + k) ** (1.0 - self.s))
-        i_avg = masses * np.exp2(_as_longdouble(k))
+        return masses * np.exp2(_as_longdouble(k))
+
+    def _spine_averages(self, n_max: int):
+        i_avg = self._i_avgs(np.arange(n_max + 1))
         return i_avg, np.concatenate(([np.nan], 2.0 * i_avg[:-1] - i_avg[1:]))
+
+    def _shell_avgs(self, n_lo: int, n_hi: int):
+        i_avg = self._i_avgs(np.arange(n_lo - 1, n_hi + 1))
+        return 2.0 * i_avg[:-1] - i_avg[1:]
 
     def spine_mass(self, k: int) -> float:
         if self.s <= 1.0:
@@ -380,8 +439,8 @@ class LogPowerPlain(ShellwiseDensity):
         tail *= n ** (-self.s)
         return np.concatenate([head, tail])
 
-    def _shell_avgs(self, n_hi: int):
-        return _as_longdouble(self.shell_avgs_vec(1, n_hi))
+    def _shell_avgs(self, n_lo: int, n_hi: int):
+        return _as_longdouble(self.shell_avgs_vec(n_lo, n_hi))
 
     def _partial(self, n, t):
         # analytic within three half-lengths of [2^-n, t): 16 nodes reach rounding
@@ -423,9 +482,9 @@ class SignModulate(ShellwiseDensity):
         sign = np.where(pos, (-1.0) ** n, 1.0)
         return sign * self.inner.value(x)
 
-    def _shell_avgs(self, n_hi: int):
-        j = self.inner._shell_avgs(n_hi)
-        j[1::2] *= -1
+    def _shell_avgs(self, n_lo: int, n_hi: int):
+        j = self.inner._shell_avgs(n_lo, n_hi)
+        j[n_lo % 2 :: 2] *= -1  # the even shells
         return j
 
     def _partial(self, n, t):
@@ -540,8 +599,8 @@ class PiecewiseDyadic(ShellwiseDensity):
                 out[n == k] = p.primitive(t[n == k])
         return out
 
-    def _shell_avgs(self, n_hi: int):
-        n = np.arange(1, n_hi + 1)
+    def _shell_avgs(self, n_lo: int, n_hi: int):
+        n = np.arange(n_lo, n_hi + 1)
         return np.ldexp(_as_longdouble([self.piece_mass(k) for k in n.tolist()]), n)
 
     def __repr__(self):

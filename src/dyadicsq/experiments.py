@@ -26,7 +26,7 @@ from .families import (
     lerner_family,
     power_pair,
 )
-from .squarefn import FULL_TREE_MAX_DEPTH, partial_mass_profile, spine_profile, weighted_snorm
+from .squarefn import FULL_TREE_MAX_DEPTH, partial_mass_profile, prefix_sums_at, weighted_snorm
 
 DEFAULT_J_RANGE = range(3, 9)
 # the sweep tail tolerance: at beta = 1 - 2^-8 the extended-precision spine
@@ -247,6 +247,10 @@ def ainfty_growth_experiment(p: float, betas=None) -> Report:
 # divergence experiments
 
 
+#: Terms per block of the bound's partial sums, so that no k_max-long array is built.
+_SUM_BLOCK = 8192
+
+
 def _log_spaced_ks(k_max: int, n_pts: int = 160) -> np.ndarray:
     return np.unique(np.geomspace(1, k_max, n_pts).astype(np.int64))
 
@@ -257,12 +261,12 @@ def lai_treil_divergence(p: float, r: float, k_max: int) -> Report:
     if not 1 <= k_max <= 10 ** 6:
         raise ValueError("k_max must lie in [1, 10^6]")
     inst = lai_treil_family(p, r)
-    prof = spine_profile(inst.sigma_f, k_max)
     ks = _log_spaced_ks(k_max)
-    mk = partial_mass_profile(prof, inst.w, p, ks)
-    zsum = np.concatenate(([0.0], np.cumsum(np.arange(2, k_max + 2, dtype=float) ** (-2.0 * r))))
+    mk = partial_mass_profile(inst.sigma_f, inst.w, p, ks)
+    zsum = prefix_sums_at((np.arange(b + 2, min(b + _SUM_BLOCK, k_max) + 2, dtype=float) ** (-2.0 * r)
+                           for b in range(0, k_max, _SUM_BLOCK)), ks, np.float64)
     c = inst.predicted["partial_mass_c1"] * inst.predicted["partial_mass_c2"]
-    bound = c * zsum[ks] ** (p / 2.0 - 1.0)
+    bound = c * zsum ** (p / 2.0 - 1.0)
     window = ks >= max(1, k_max // 100)
     if np.count_nonzero(window) >= 3:
         sl, ic, res = exponent_fit(zip(ks[window], mk[window]))

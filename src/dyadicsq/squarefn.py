@@ -39,7 +39,8 @@ class SpineProfile:
     d_left[k]  = value of Delta_{I_k} g on I_{k+1}  (k = 0..n_max-1)
     left_squares[k] = sum_{j<k} d_left[j]^2  (k = 0..n_max), in extended precision
 
-    computed on first read (the divergence experiments read left_squares only):
+    computed on first read (``weighted_snorm`` reads s; the divergence streams
+    its left squares through :func:`partial_mass_profile` and builds no profile):
 
     d_right[k] = value of Delta_{I_k} g on J_{k+1}
     s[n]       = square-function lower bound on the shell J_n (n = 1..n_max),
@@ -148,6 +149,9 @@ def weighted_snorm(fsigma: Density, w: Density, p: float, n_max: int,
     """
     if p <= 1.0:
         raise ValueError("p must be > 1")
+    if not hasattr(w, "log_shell_masses"):
+        raise ValueError(f"weighted_snorm needs the shell masses of w in closed form, "
+                         f"which {type(w).__name__} does not give")
     prof = spine_profile(fsigma, n_max)
     with np.errstate(divide="ignore"):
         log_s = np.asarray(np.log(prof.s[1:]), dtype=np.float64)
@@ -165,18 +169,47 @@ def weighted_snorm(fsigma: Density, w: Density, p: float, n_max: int,
     return math.exp(log_total / p)
 
 
-def partial_mass_profile(prof: SpineProfile, w: Density, p: float, ks) -> np.ndarray:
-    """Certified lower bounds of int_{I_k} S(f sigma)^p w dx for each k.
+def prefix_sums_at(term_blocks, ks, dtype) -> np.ndarray:
+    """S[k] = sum_{j<k} t_j at each k of ks, for the terms t_0, t_1, .. given
+    in consecutive blocks, holding one block at a time.  Each block is summed
+    by np.cumsum from the carried S at its start, in order, so every S[k] is
+    the float that one np.cumsum over all the terms gives."""
+    out = np.zeros(ks.size, dtype=dtype)
+    lo, carry = 0, dtype(0)
+    for t in term_blocks:
+        s = np.cumsum(np.concatenate(([carry], t)))  # S[lo], .., S[lo + t.size]
+        at = (ks >= lo) & (ks <= lo + t.size)
+        out[at] = s[ks[at] - lo]
+        lo, carry = lo + t.size, s[-1]
+    if ks.max() > lo:
+        raise ValueError(f"k = {ks.max()} beyond the {lo} terms given")
+    return out
+
+
+def partial_mass_profile(g: Density, w: Density, p: float, ks) -> np.ndarray:
+    """Certified lower bounds of int_{I_k} S(g)^p w dx for each k, g = f sigma.
 
     On I_k the first k spine differences are constant in magnitude, so
     (sum_{j<k} d_j^2)^(p/2) * w(I_k) is a valid lower bound; it is the
     shell-sum over J_n, n > k, of that constant against the shell masses of w.
+    The sums of squares are those of ``spine_profile(g, max(ks)).left_squares``
+    to the bit, reduced over ``g.spine_blocks`` as they come: a shell-wise g
+    never holds more than one block of its spine.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=int))
-    if ks.max() > prof.n_max:
-        raise ValueError("k beyond the computed spine depth")
+    if ks.min() < 0:
+        raise ValueError("k must be >= 0")
+
+    def d_left_squares():
+        prev = np.empty(0, dtype=_LD)  # the last average of the block before
+        for block in g.spine_blocks(int(ks.max())):
+            i_avg = np.concatenate((prev, block))
+            d = i_avg[1:] - i_avg[:-1]
+            yield d * d
+            prev = block[-1:]
+
+    left_squares = prefix_sums_at(d_left_squares(), ks, _LD)
     out = np.empty(ks.size)
     for i, k in enumerate(ks):
-        out[i] = float(prof.left_squares[k] ** (p / 2.0)) * w.spine_mass(int(k))
+        out[i] = float(left_squares[i] ** (p / 2.0)) * w.spine_mass(int(k))
     return out
-

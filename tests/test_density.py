@@ -320,9 +320,9 @@ def _count_calls(monkeypatch, method, classes=(SignModulate, LogPowerPlain)):
     for cls in classes:
         original = getattr(cls, method)
 
-        def counted(self, n, _original=original):
+        def counted(self, *args, _original=original):
             calls[id(self)] += 1
-            return _original(self, n)
+            return _original(self, *args)
 
         monkeypatch.setattr(cls, method, counted)
     return calls
@@ -387,6 +387,8 @@ def _ref_shell_avgs(g, n_hi):
         return g.shell_avgs_vec(1, n_hi).astype(np.longdouble)
     if isinstance(g, SignModulate):
         return np.where(n % 2 == 1, 1, -1) * _ref_shell_avgs(g.inner, n_hi)
+    if isinstance(g, (Power, LogPowerOverX)):
+        return g._spine_averages(n_hi)[1][1:]
     assert isinstance(g, Constant)
     return np.full(n_hi, g.c, dtype=np.longdouble)
 
@@ -445,6 +447,23 @@ def test_spine_averages_match_the_per_tap_fold(name, n_max):
     tol = 1e-17 * np.max(np.abs(want))
     assert np.max(np.abs(i_avg - want)) <= tol
     assert np.array_equal(j_avg[1:], shells[:n_max])
+
+
+_CLOSED_FORM_INNERS = {"sign_power": SignModulate(Power(1.0, -0.3)),
+                       "sign_log_power_over_x": SignModulate(LogPowerOverX(1.0, 1.2))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([*_FOLDING, *_CLOSED_FORM_INNERS]), st.integers(1, 900),
+       st.integers(0, 300))
+def test_shell_averages_are_independent_of_the_range(name, n_lo, width):
+    # the fold asks for its shells block by block; SignModulate takes its
+    # sign from n_lo, odd or even, and its closed-form inners their shells
+    # from the same elementwise formulas as their spines
+    g = {**_folding_densities(), **_CLOSED_FORM_INNERS}[name]
+    n_hi = min(n_lo + width, 1000)
+    got = g._shell_avgs(n_lo, n_hi)
+    assert _same_floats(got, _ref_shell_avgs(g, n_hi)[n_lo - 1 :])
 
 
 @pytest.mark.parametrize("name", _FOLDING)
@@ -532,11 +551,11 @@ def test_sign_modulate_leaves_its_inner_arrays_unchanged(inner):
     n_hi = 300 + _TAPS
     spine = inner.spine_averages(n_hi)
     kept = [a.copy() for a in spine]
-    shells = inner._shell_avgs(n_hi).copy()
+    shells = inner._shell_avgs(1, n_hi).copy()
     SignModulate(inner).spine_averages(300)
     assert inner.spine_averages(n_hi) is spine
     assert all(_same_floats(a, b) for a, b in zip(spine, kept))
-    assert _same_floats(inner._shell_avgs(n_hi), shells)
+    assert _same_floats(inner._shell_avgs(1, n_hi), shells)
 
 
 def test_spine_averages_are_read_only_and_built_once_per_n_max(monkeypatch):

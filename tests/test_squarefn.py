@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dyadicsq.density import (
@@ -12,6 +12,7 @@ from dyadicsq.density import (
     NonIntegrableError,
     Power,
     Scale,
+    ShellwiseDensity,
     SignModulate,
 )
 from dyadicsq.dyadic import DyadicInterval, spine
@@ -199,14 +200,23 @@ def test_weighted_snorm_monotone_in_n_max():
     assert vals[0] <= vals[1] <= vals[2]
 
 
+def test_weighted_snorm_refuses_a_weight_without_closed_form_shell_masses():
+    # a ValueError (exit 3 through the CLI) that names the weight's class,
+    # not an AttributeError that no exit code maps
+    from dyadicsq.families import lai_treil_family
+
+    inst = lai_treil_family(3, 0.4)
+    with pytest.raises(ValueError, match="LogPowerOverX"):
+        weighted_snorm(inst.sigma_f, inst.w, 3, n_max=2048, tail_rel_tol=0.5)
+
+
 def test_tail_not_certified():
     with pytest.raises(TailNotCertifiedError):
         weighted_snorm(Power(1.0, -0.99), Power(1.0, 0.5), 3.0, n_max=48)
 
 
 def test_partial_mass_constant_zero():
-    prof = spine_profile(Constant(1.0), 5)
-    assert partial_mass_profile(prof, Power(1.0, -0.5), 3.0, [5])[0] == 0.0
+    assert partial_mass_profile(Constant(1.0), Power(1.0, -0.5), 3.0, [5])[0] == 0.0
 
 
 def test_partial_mass_monotone_and_positive():
@@ -214,27 +224,46 @@ def test_partial_mass_monotone_and_positive():
     from dyadicsq.density import LogPowerOverX
     sf = SignModulate(LogPowerPlain(r))
     w = LogPowerOverX(1.0, 2.0 - 2.0 * r)
-    prof = spine_profile(sf, 600)
     ks = np.arange(1, 600, 7)
-    m = partial_mass_profile(prof, w, p, ks)
+    m = partial_mass_profile(sf, w, p, ks)
     assert np.all(m > 0)
     assert np.all(np.diff(m) > 0)  # grows like k^((1-2r)(p/2-1))
 
 
 def test_partial_mass_profile_uses_the_left_squares_of_the_profile():
     # the prefix sums spine_profile keeps are the ones partial_mass_profile
-    # used to rebuild from d_left, so its output is unchanged to the bit
+    # reduces over the spine blocks, so its output is unchanged to the bit
     from dyadicsq.density import LogPowerOverX
     p, r = 3.0, 0.4
     w = LogPowerOverX(1.0, 2.0 - 2.0 * r)
-    prof = spine_profile(SignModulate(LogPowerPlain(r)), 5000)
+    g = SignModulate(LogPowerPlain(r))
+    prof = spine_profile(g, 5000)
     rebuilt = np.zeros(prof.n_max + 1, dtype=np.longdouble)
     np.cumsum(prof.d_left * prof.d_left, out=rebuilt[1:])
     assert np.array_equal(prof.left_squares, rebuilt)
     ks = np.unique(np.geomspace(1, 5000, 60).astype(int))
     ks = np.concatenate([[0], ks])
     want = [0.0 if k == 0 else float(rebuilt[k] ** (p / 2.0)) * w.spine_mass(int(k)) for k in ks]
-    assert partial_mass_profile(prof, w, p, ks).tolist() == want
+    assert partial_mass_profile(g, w, p, ks).tolist() == want
+
+
+_SEAMS = [1, 127, 128, 8191, 8192, 8193, 2 * 8192 + 5]  # around the fold blocks of 8192
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_SEAMS), st.floats(2.0, 6.0, exclude_min=True), st.data())
+def test_the_streamed_partial_masses_are_the_eager_ones(k_max, p, data):
+    # one pass over the spine blocks gives, float for float, the left squares
+    # of the whole profile, across each block seam
+    from dyadicsq.density import LogPowerOverX
+    r = data.draw(st.floats(1.0 / p, 0.5, exclude_min=True, exclude_max=True), label="r")
+    g, w = SignModulate(LogPowerPlain(r)), LogPowerOverX(1.0, 2.0 - 2.0 * r)
+    assume(w.s > 1.0)  # 2 - 2r rounds to 1 for r within an ulp of 1/2
+    left_squares = spine_profile(g, k_max).left_squares
+    ks = np.arange(k_max + 1)
+    want = [float(left_squares[k] ** (p / 2.0)) * w.spine_mass(int(k)) for k in ks]
+    assert partial_mass_profile(g, w, p, ks).tolist() == want
+    assert partial_mass_profile(g, w, p, ks[::-1]).tolist() == want[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +313,42 @@ def test_lazy_spine_profile_fields_are_the_eager_formulas(name, n_max):
     assert prof.s is prof.s and prof.d_right is prof.d_right  # built once
 
 
-def test_lai_treil_divergence_never_builds_s(monkeypatch):
-    from dyadicsq import experiments
+@pytest.mark.parametrize("k_max", _SEAMS)
+@pytest.mark.parametrize("name", sorted(n for n, g in _FAMILY_DENSITIES.items()
+                                        if isinstance(g, ShellwiseDensity)))
+def test_the_spine_blocks_are_the_spine_averages(name, k_max):
+    g = _FAMILY_DENSITIES[name]
+    try:
+        i_avg, _ = g.spine_averages(k_max)
+    except NonIntegrableError:  # beyond the density's spine depth: the blocks fail alike
+        with pytest.raises(NonIntegrableError):
+            next(g.spine_blocks(k_max))
+        return
+    got = np.concatenate(list(g.spine_blocks(k_max)))
+    assert got.dtype == i_avg.dtype and np.array_equal(got, i_avg, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(i_avg))
 
-    profiles = []
 
-    def keep(g, n_max):
-        profiles.append(spine_profile(g, n_max))
-        return profiles[-1]
+def test_lai_treil_divergence_streams_its_spine(monkeypatch):
+    # neither a whole spine nor a profile: the divergence holds one fold block
+    # at a time, where the eager spine held 76 MB at k_max = 10^6
+    import tracemalloc
 
-    monkeypatch.setattr(experiments, "spine_profile", keep)
-    experiments.lai_treil_divergence(3.0, 0.4, 10 ** 6)
-    (prof,) = profiles
-    assert "s" not in vars(prof) and "d_right" not in vars(prof)
+    from dyadicsq import experiments, squarefn
+    from dyadicsq.density import Density
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a whole spine")
+
+    monkeypatch.setattr(Density, "spine_averages", refuse)
+    monkeypatch.setattr(squarefn, "spine_profile", refuse)
+    tracemalloc.start()
+    try:
+        experiments.lai_treil_divergence(3.0, 0.4, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("family, p, want", [
