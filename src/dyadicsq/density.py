@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class Density:
     def _shell_avgs(self, n_lo: int, n_hi: int):
         """Extended-precision averages over J_{n_lo}..J_{n_hi}, a fresh array,
         each shell's value independent of the range."""
-        raise NotImplementedError
+        return self._spine_averages(n_hi)[1][n_lo:]
 
     def spine_mass(self, k: int) -> float:
         """Mass of I_k = [0, 2^-k); overridden where 2^-k would underflow."""
@@ -140,43 +140,36 @@ class Density:
 _FOLD_BLOCK = 8192
 
 
-@cache
-def _fold_scalings():
-    """(2^-(j+1) for j < _FOLD_BLOCK + 127, 2^j for j < _FOLD_BLOCK), exact and
-    read-only: 266 KB, built on the first fold and shared by every block."""
-    down = np.full(_FOLD_BLOCK + _SUFFIX_TAPS - 1, _LD(0.5)).cumprod()
-    up = 0.5 / down[:_FOLD_BLOCK]
-    down.flags.writeable = up.flags.writeable = False
-    return down, up
+def _fold_scalings(m: int):
+    """(2^-(j+1) for j < m + 127, 2^j for j < m), exact, for blocks of at most
+    m <= _FOLD_BLOCK outputs."""
+    down = np.full(m + _SUFFIX_TAPS - 1, _LD(0.5)).cumprod()
+    return down, 0.5 / down[:m]
 
 
-def _suffix_fold(shells):
-    """i[k] = sum_{m=1}^{T} 2^-m shells[k+m-1] for k = 0..len(shells) - T.
+def _suffix_fold(shells, down, up):
+    """i[k] = sum_{m=1}^{T} 2^-m shells[k+m-1] for k = 0..len(shells) - T, one
+    block of at most _FOLD_BLOCK outputs, with (down, up) = _fold_scalings of
+    at least that many.
 
     With shells[n-1] = <g>_{J_n} this is <g>_{I_k} cut after T = _SUFFIX_TAPS
     shells: the doubling tree i <- i[:-s] + 2^-s i[s:], s = 1, 2, .., T/2, from
-    i = shells/2, in mass form.  Block by block from shell b, shell j is scaled
-    once by 2^-(j-b+1), each pass adds in place, v[:L] += v[s:s+L], and output k
-    is scaled back by 2^(k-b): 9 extended-precision passes, not 15.  Scaling by
-    a power of two commutes with rounding while values stay normal, so each
-    output is the tree's float, bit for bit, for nonzero |shells| in
-    [2^-8000, 2^8000] (every double), ±0, ±inf and NaN.
+    i = shells/2, in mass form.  Shell j is scaled once by 2^-(j+1), each pass
+    adds in place, v[:L] += v[s:s+L], and output k is scaled back by 2^k: 9
+    extended-precision passes, not 15.  Scaling by a power of two commutes with
+    rounding while values stay normal, so each output is the tree's float, bit
+    for bit, for nonzero |shells| in [2^-8000, 2^8000] (every double), ±0, ±inf
+    and NaN.
     """
-    n = shells.size - _SUFFIX_TAPS + 1
-    down, up = _fold_scalings()
-    out = np.empty(n, dtype=_LD)
-    buf = np.empty(min(n, _FOLD_BLOCK) + _SUFFIX_TAPS - 1, dtype=_LD)
-    for b in range(0, n, _FOLD_BLOCK):
-        m = min(_FOLD_BLOCK, n - b)
-        width = m + _SUFFIX_TAPS - 1
-        v = np.multiply(shells[b : b + width], down[:width], out=buf[:width])
-        s = 1
-        while s < _SUFFIX_TAPS:
-            width -= s
-            v[:width] += v[s : s + width]
-            s *= 2
-        np.multiply(v[:m], up[:m], out=out[b : b + m])
-    return out
+    width = shells.size
+    m = width - _SUFFIX_TAPS + 1
+    v = shells * down[:width]
+    s = 1
+    while s < _SUFFIX_TAPS:
+        width -= s
+        v[:width] += v[s : s + width]
+        s *= 2
+    return v[:m] * up[:m]
 
 
 class ShellwiseDensity(Density):
@@ -208,10 +201,11 @@ class ShellwiseDensity(Density):
         if n_max > self._MAX_SPINE:
             raise NonIntegrableError(
                 f"{type(self).__name__}: spine depth limited to {self._MAX_SPINE}")
+        down, up = _fold_scalings(min(_FOLD_BLOCK, n_max + 1))
         for b in range(0, n_max + 1, _FOLD_BLOCK):
             m = min(_FOLD_BLOCK, n_max + 1 - b)
             shells = self._shell_avgs(b + 1, b + m + _SUFFIX_TAPS - 1)
-            yield b, _suffix_fold(shells), shells[:m]
+            yield b, _suffix_fold(shells, down, up), shells[:m]
 
     def spine_blocks(self, n_max: int):
         return (i_avg for _, i_avg, _ in self._fold_blocks(n_max))
@@ -274,9 +268,6 @@ class Constant(Density):
         i_avg = np.full(n_max + 1, _LD(self.c))
         return i_avg, np.concatenate(([np.nan], i_avg[1:]))
 
-    def _shell_avgs(self, n_lo: int, n_hi: int):
-        return np.full(n_hi - n_lo + 1, _LD(self.c))
-
 
 @dataclass(frozen=True)
 class Power(Density):
@@ -301,20 +292,14 @@ class Power(Density):
         g1 = self.gamma + 1.0
         return self.c * np.power(t, g1) / g1
 
-    def _averages(self, k):
-        """(<g>_{I_k}, <g>_{J_k}) at the integers k, elementwise (J_0 is no shell)."""
-        g = _LD(self.gamma)
-        scale = np.exp2(-g * _as_longdouble(k))  # 2^(-gamma*k)
-        return (_LD(self.c) / (g + 1) * scale,
-                _LD(self.c) * (np.exp2(g + 1) - 1) / (g + 1) * scale)
-
     def _spine_averages(self, n_max: int):
-        i_avg, j_avg = self._averages(np.arange(n_max + 1))
+        k = _as_longdouble(np.arange(n_max + 1))
+        g = _LD(self.gamma)
+        scale = np.exp2(-g * k)  # 2^(-gamma*k)
+        i_avg = _LD(self.c) / (g + 1) * scale
+        j_avg = _LD(self.c) * (np.exp2(g + 1) - 1) / (g + 1) * scale
         j_avg[0] = np.nan
         return i_avg, j_avg
-
-    def _shell_avgs(self, n_lo: int, n_hi: int):
-        return self._averages(np.arange(n_lo, n_hi + 1))[1]
 
     def log_shell_masses(self, n_max: int):
         """log of the shell masses |J_n|*<g>_{J_n}, n = 0..n_max (entry 0 is nan)."""
@@ -355,18 +340,11 @@ class LogPowerOverX(Density):
         pos = t > 0
         return np.where(pos, self.c * LN2 / (self.s - 1.0) * np.where(pos, _u(np.where(pos, t, 0.5)), 1.0) ** (1.0 - self.s), 0.0)
 
-    def _i_avgs(self, k):
-        """<g>_{I_k} at the integers k, elementwise."""
-        masses = _as_longdouble(self.c * LN2 / (self.s - 1.0) * (1.0 + k) ** (1.0 - self.s))
-        return masses * np.exp2(_as_longdouble(k))
-
     def _spine_averages(self, n_max: int):
-        i_avg = self._i_avgs(np.arange(n_max + 1))
+        k = np.arange(n_max + 1)
+        masses = _as_longdouble(self.c * LN2 / (self.s - 1.0) * (1.0 + k) ** (1.0 - self.s))
+        i_avg = masses * np.exp2(_as_longdouble(k))
         return i_avg, np.concatenate(([np.nan], 2.0 * i_avg[:-1] - i_avg[1:]))
-
-    def _shell_avgs(self, n_lo: int, n_hi: int):
-        i_avg = self._i_avgs(np.arange(n_lo - 1, n_hi + 1))
-        return 2.0 * i_avg[:-1] - i_avg[1:]
 
     def spine_mass(self, k: int) -> float:
         if self.s <= 1.0:

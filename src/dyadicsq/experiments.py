@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import dyadic_ainfty, dyadic_joint_ap, interval_scans_joint_ap, spine_joint_ap
-from .density import LN2, Constant, Power
+from .density import _FOLD_BLOCK, LN2, Constant, Power
 from .families import (
     FamilyInstance,
     alternating_family,
@@ -247,10 +247,6 @@ def ainfty_growth_experiment(p: float, betas=None) -> Report:
 # divergence experiments
 
 
-#: Terms per block of the bound's partial sums, so that no k_max-long array is built.
-_SUM_BLOCK = 8192
-
-
 def _log_spaced_ks(k_max: int, n_pts: int = 160) -> np.ndarray:
     return np.unique(np.geomspace(1, k_max, n_pts).astype(np.int64))
 
@@ -263,8 +259,8 @@ def lai_treil_divergence(p: float, r: float, k_max: int) -> Report:
     inst = lai_treil_family(p, r)
     ks = _log_spaced_ks(k_max)
     mk = partial_mass_profile(inst.sigma_f, inst.w, p, ks)
-    zsum = prefix_sums_at((np.arange(b + 2, min(b + _SUM_BLOCK, k_max) + 2, dtype=float) ** (-2.0 * r)
-                           for b in range(0, k_max, _SUM_BLOCK)), ks, np.float64)
+    zsum = prefix_sums_at((np.arange(b + 2, min(b + _FOLD_BLOCK, k_max) + 2, dtype=float) ** (-2.0 * r)
+                           for b in range(0, k_max, _FOLD_BLOCK)), ks, np.float64)
     c = inst.predicted["partial_mass_c1"] * inst.predicted["partial_mass_c2"]
     bound = c * zsum ** (p / 2.0 - 1.0)
     window = ks >= max(1, k_max // 100)
