@@ -2,8 +2,8 @@
 
 Every estimate returned here is a certified lower bound of the corresponding
 supremum, nondecreasing under refinement of its truncation parameter (dyadic
-depth, spine depth, scan grid/span); the truncation is recorded alongside the
-value.
+depth, spine depth, scan grid/span); the experiments record the truncation
+they ask for next to the value.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ def _checked_max(best: float, value: float, where: str) -> float:
 @dataclass(frozen=True)
 class CharacteristicEstimate:
     value: float
-    kind: str            # joint_ap | a_infty
-    scope: tuple         # ("dyadic", depth) | ("spine", n_max) | ("scan", step, span)
-    p: float | None = None
 
     def __post_init__(self):
         if self.value < 0:
@@ -57,7 +54,7 @@ def dyadic_joint_ap(w: Density, sigma: Density, p: float, depth: int) -> Charact
     for lev in range(depth + 1):
         vals = aw[lev] * asig[lev] ** (p - 1.0)
         best = _checked_max(best, float(np.max(vals)), f"roots of level {lev}, depth {depth}")
-    return CharacteristicEstimate(best, "joint_ap", ("dyadic", depth), p)
+    return CharacteristicEstimate(best)
 
 
 def spine_joint_ap(w: Density, sigma: Density, p: float, n_max: int) -> CharacteristicEstimate:
@@ -66,7 +63,7 @@ def spine_joint_ap(w: Density, sigma: Density, p: float, n_max: int) -> Characte
     if (bad := np.flatnonzero(np.isnan(vals) | (vals == np.inf))).size:
         raise NonFiniteCandidateError(f"{vals[bad[0]]} candidate at spine interval I_{bad[0]}, "
                                       f"n_max {n_max}")
-    return CharacteristicEstimate(float(np.max(vals)), "joint_ap", ("spine", n_max), p)
+    return CharacteristicEstimate(float(np.max(vals)))
 
 
 def spine_joint_ap_values(w: Density, sigma: Density, p: float, n_max: int) -> np.ndarray:
@@ -124,50 +121,49 @@ def _ainfty_full_tree(sigma: Density, depth: int) -> CharacteristicEstimate:
         sums = running.reshape(2 ** lev, n_leaf // 2 ** lev).sum(axis=1) / n_leaf
         ratios = sums / (avgs[lev] * 2.0 ** (-lev))
         best = _checked_max(best, float(np.max(ratios)), f"roots of level {lev}, depth {depth}")
-    return CharacteristicEstimate(best, "a_infty", ("dyadic", depth))
+    return CharacteristicEstimate(best)
 
 
 def _ainfty_radial(sigma: Density, n_max: int) -> CharacteristicEstimate:
     i_avg, j_avg = sigma.spine_averages(n_max)
     top = min(RADIAL_ROOT_MAX, n_max - 2)
     if top < 0:
-        return CharacteristicEstimate(0.0, "a_infty", ("spine", n_max))
-    # table[k] = max(C_m[k], J_{k+1}) 2^-(k+1) on the shell J_{k+1}, with
-    # C_m[k] = max I_{m..k} the best spine average from root m down to I_k.
-    # Root m's candidate sums table[m:], the terms of the weights 2^(m-n)
+        return CharacteristicEstimate(0.0)
+    best = 0.0
+    for m, ratio in enumerate(_radial_candidates(i_avg, j_avg, n_max, top).tolist()):
+        best = _checked_max(best, ratio, f"root I_{m}, n_max {n_max}")
+    return CharacteristicEstimate(best)
+
+
+def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
+    """The radial candidate of each root I_m, m = 0..top, as doubles."""
+    # table[k] = max(c[k], J_{k+1}) 2^-(k+1) on the shell J_{k+1}, with
+    # c[k] = C_m[k] = max I_{m..k} the best spine average from root m down to
+    # I_k.  Root m's candidate sums table[m:], the terms of the weights 2^(m-n)
     # times 2^-m (exactly, while no term is subnormal), in the same order.
     weights = np.ldexp(_LD(1), -np.arange(1, n_max + 1))  # 2^-(k+1), exp2's values
-    deep = np.maximum.accumulate(i_avg[top:n_max])  # C_top
-    table = np.concatenate((i_avg[:top], deep))
-    np.maximum(table, j_avg[1:], out=table)
+    # C_top on [top, n_max); below top, I_k stands until root k takes over
+    c = np.concatenate((i_avg[:top], np.maximum.accumulate(i_avg[top:n_max])))
+    table = np.maximum(c, j_avg[1:])
     table *= weights
-    # Moving up to root m changes C only on [m+1, e), where I_m leads (never,
-    # if averages grow with depth).  C_m is kept as a stack of constant runs
-    # (end, value), the last one starting at m, then deep from the first end on.
-    runs, sums = [], []
-    leads = (i_avg[:top] > i_avg[1 : top + 1]).tolist() + [False]
+    sums = []
     for m in range(top, -1, -1):
+        # C_m is nondecreasing, NaN sorting last: I_m replaces C_(m+1) on
+        # [m+1, end), where C_(m+1) < I_m (nowhere, if averages grow with depth)
         x, end = i_avg[m], m + 1
-        if leads[m]:
-            while runs and runs[-1][1] < x:
-                end = runs.pop()[0]
-            if not runs and end < n_max and deep[end - top] < x:
-                end += int(np.searchsorted(deep[end - top:], x))
+        if not x <= c[m + 1]:
+            end += int(np.searchsorted(c[m + 1 :], x))
             led = slice(m + 1, end)
             np.maximum(x, j_avg[m + 2 : end + 1], out=table[led])
             table[led] *= weights[led]
-        runs.append((end, x))
+        c[m:end] = x
         sums.append(np.add.reduce(table[m:]))
         # a NaN entry stays NaN for every shallower root (maximum keeps it, C
         # only grows, and inf * 0 stays NaN), so root I_0 has it too; only a
         # -inf average, lifted by a shallower one, could take it out again
         if math.isnan(sums[-1]) and not (np.isneginf(i_avg).any() or np.isneginf(j_avg).any()):
             raise NonFiniteCandidateError(f"NaN candidate at root I_0, n_max {n_max}")
-    ratios = np.ldexp(np.array(sums[::-1]), np.arange(top + 1)) / i_avg[: top + 1]
-    best = 0.0
-    for m, ratio in enumerate(ratios.astype(float).tolist()):
-        best = _checked_max(best, ratio, f"root I_{m}, n_max {n_max}")
-    return CharacteristicEstimate(best, "a_infty", ("spine", n_max))
+    return (np.ldexp(np.array(sums[::-1]), np.arange(top + 1)) / i_avg[: top + 1]).astype(float)
 
 
 def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list[CharacteristicEstimate]:
@@ -204,7 +200,7 @@ def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list
             best = value = _pair_scan_max(*(a[:end] for a in shared), p, n_rows, max(best, singular),
                                           settled)
             settled = end - 1
-        out.append(CharacteristicEstimate(value, "joint_ap", ("scan", grid_step, span), p))
+        out.append(CharacteristicEstimate(value))
     return out
 
 

@@ -71,11 +71,9 @@ def _as_longdouble(x):
     return np.asarray(x, dtype=_LD)
 
 
-def _shell_index(t):
-    """n with t in (2^-n, 2^(1-n)] for 0 < t <= 1, exactly: a power of two
-    2^-k falls in J_(k+1), whose partial shell is then whole."""
-    m, e = np.frexp(t)
-    return (1 - e + (m == 0.5)).astype(np.int64)
+def _shell_of(x):
+    """n with x in J_n = [2^-n, 2^(1-n)) for 0 < x < 1, exactly."""
+    return 1 - np.frexp(x)[1]
 
 
 class Density:
@@ -237,10 +235,8 @@ class ShellwiseDensity(Density):
         out = np.zeros(t_arr.shape)
         pos = t_arr > 0.0
         tp = np.minimum(t_arr[pos], 1.0)
-        n = _shell_index(tp)
-        if n.size and n.max() > _MAX_SHELL:
-            raise NonIntegrableError(f"{type(self).__name__}: primitive limited to "
-                                     f"depth {_MAX_SHELL}, got t = {tp.min()!r}")
+        # t in (2^-n, 2^(1-n)]: a power of two 2^-k ends J_(k+1), so n <= 1075
+        n = _shell_of(tp) + (np.frexp(tp)[0] == 0.5)
         shells, at = np.unique(n, return_inverse=True)
         if new := [k for k in shells.tolist() if k not in self._below]:
             self._below.update(zip(new, self._masses_below(np.array(new)).tolist()))
@@ -425,7 +421,8 @@ class LogPowerPlain(ShellwiseDensity):
         lo = np.ldexp(1.0, -n)
         h = t - lo
         x = lo[..., None] + h[..., None] * _GL_X
-        return h * (_u(x) ** (-self.s) * _GL_W).sum(axis=-1)  # rowwise: no BLAS blocking
+        with np.errstate(divide="ignore"):  # a node x = 0 (shell 1075) gives its limit 0
+            return h * (_u(x) ** (-self.s) * _GL_W).sum(axis=-1)  # rowwise: no BLAS blocking
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +446,14 @@ class Scale(Density):
 
 @dataclass(frozen=True)
 class SignModulate(ShellwiseDensity):
-    """Multiply by (-1)^floor(-log2 x): sign (-1)^(n-1) on the shell J_n."""
+    """Multiply by the sign (-1)^(n-1) on the shell J_n = [2^-n, 2^(1-n))."""
 
     inner: Density
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        pos = x > 0
-        n = np.where(pos, np.floor(-np.log2(np.where(pos, x, 0.5))), 0.0)
-        sign = np.where(pos, (-1.0) ** n, 1.0)
-        return sign * self.inner.value(x)
+        sign = np.where(_shell_of(np.where(x > 0, x, 0.5)) % 2 == 1, 1.0, -1.0)
+        return np.where(x > 0, sign, 1.0) * self.inner.value(x)
 
     def _shell_avgs(self, n_lo: int, n_hi: int):
         j = self.inner._shell_avgs(n_lo, n_hi)
@@ -562,7 +557,7 @@ class PiecewiseDyadic(ShellwiseDensity):
     def value(self, x):
         x = np.asarray(x, dtype=float)
         inside = (x > 0) & (x < 1)
-        n = 1 - np.frexp(np.where(inside, x, 0.5))[1]  # x in [2^-n, 2^(1-n))
+        n = _shell_of(np.where(inside, x, 0.5))
         out = np.where(x == 0.0, 1.0, 0.0)
         for k in np.unique(n[inside]).tolist():
             if (p := self.piece(k)) is not None:

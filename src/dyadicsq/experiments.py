@@ -288,11 +288,9 @@ def _exp_series(s: float, a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     small = a < LN2 / 64.0
     if np.any(small):
-        from scipy.special import gamma  # imported where called: scipy is most of the CLI start-up
-
         asm = a[small]
         corr = _zeta_minus(s) - asm * _zeta_minus(s + 1.0)
-        out[small] = gamma(s + 1.0) * asm ** (-(s + 1.0)) + corr
+        out[small] = math.gamma(s + 1.0) * asm ** (-(s + 1.0)) + corr
     if np.any(~small):
         big = a[~small]
         n_terms = int(math.ceil((s * 40.0 + 60.0) / float(big.min())))
@@ -302,12 +300,21 @@ def _exp_series(s: float, a: np.ndarray) -> np.ndarray:
 
 
 def _zeta_minus(s: float) -> float:
-    """zeta(-s) for s > 0 via the functional equation."""
-    from scipy.special import gamma, zeta
-
+    """zeta(-s) for s >= 1 via the functional equation."""
     z = s + 1.0
-    return 2.0 * (2.0 * math.pi) ** (-z) * math.cos(math.pi * z / 2.0) \
-        * gamma(z) * float(zeta(z, 1))
+    return 2.0 * (2.0 * math.pi) ** (-z) * math.cos(math.pi * z / 2.0) * math.gamma(z) * _zeta(z)
+
+
+def _zeta(z: float) -> float:
+    """Riemann zeta(z) for real z >= 2: the terms n < 20, then the Euler-Maclaurin
+    tail from N = 20 with the corrections B_2..B_10 (the first one dropped is
+    below 4e-18 at z = 2 and falls with z), summed with fsum."""
+    terms = [n ** -z for n in range(1, 20)] + [20.0 ** (1.0 - z) / (z - 1.0), 0.5 * 20.0 ** -z]
+    rise = z  # z (z+1) .. (z+2k-2)
+    for k, c in enumerate((1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)):  # B_2k/(2k)!
+        terms.append(c * rise * 20.0 ** (-z - 2 * k - 1))
+        rise *= (z + 2 * k + 1) * (z + 2 * k + 2)
+    return math.fsum(terms)
 
 
 def direct_sum_block_snorm_p(k, p: float) -> np.ndarray:
@@ -328,6 +335,8 @@ def direct_sum_divergence(p: float, k_max: int) -> Report:
     sums over the first K odd blocks, with a log-growth fit for the latter."""
     if not 3 <= k_max <= 10 ** 6:
         raise ValueError("block count must lie in [3, 10^6]")
+    if p <= 2.0:  # as direct_sum_family: the fnorm series diverges, and zeta needs z >= 2
+        raise ValueError("p must be > 2")
     odd = 2 * np.arange(k_max, dtype=np.int64) + 1
     fnorm_terms = odd.astype(float) ** (-p / 2.0)
     snorm_terms = direct_sum_block_snorm_p(odd, p)

@@ -5,7 +5,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyadicsq.characteristics as ch
@@ -32,7 +32,7 @@ def _one_span_scan(w, sigma, p, span, grid_step):
 
 def test_estimate_rejects_negative():
     with pytest.raises(ValueError):
-        CharacteristicEstimate(-0.5, "joint_ap", ("dyadic", 4))
+        CharacteristicEstimate(-0.5)
 
 
 def test_joint_ap_constant_weights():
@@ -466,6 +466,8 @@ _INTERVALS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["lai_treil", "power_pair_i", "direct_sum"]),
        st.lists(_INTERVALS, min_size=1, max_size=24))
+# the least double 2^-1074 lies in the shell J_1075, past every glued piece
+@example(family="direct_sum", intervals=[(0.0, 5e-324)])
 def test_masses_are_integrate_to_the_bit(family, intervals):
     # the scalar integral of a periodized density is one two-point cumulative
     ext = _extended(family, 3.0)
@@ -671,6 +673,21 @@ def test_radial_ainfty_is_the_checked_per_root_reference_on_any_spine(n_max, roo
         with _root_max(root_max):
             got = _outcome(lambda: dyadic_ainfty(stub, mode="radial", n_max=n_max).value)
     assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3000), st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["random", "walk", "rising", "falling"]))
+def test_radial_candidates_are_the_per_root_candidates(n_max, root_max, seed, shape):
+    # the one running-maximum array, updated from the deepest root up, gives
+    # every root the candidate of its own fresh maximum.accumulate, bit for bit
+    rng = np.random.default_rng(seed)
+    i_avg, j_avg = _random_spine(rng, n_max, shape), _random_spine(rng, n_max, shape)
+    j_avg[0] = np.nan
+    top = min(root_max, n_max - 2)
+    got = ch._radial_candidates(i_avg, j_avg, n_max, top)
+    want = [value for _, value in _per_root_candidates(i_avg, j_avg, n_max, root_max)]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 def test_radial_nan_in_the_deepest_shell_raises_at_root_0():

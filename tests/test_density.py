@@ -67,6 +67,19 @@ def test_average_sign_modulated_constant_on_spine():
         assert average(g, spine(k)) == pytest.approx((-1.0) ** k / 3.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("inner", [Constant(1.0), LogPowerPlain(0.4), Power(1.0, -0.5)])
+def test_sign_modulate_has_the_sign_of_its_shell_from_the_left_end(inner):
+    # J_n = [2^-n, 2^(1-n)) carries the sign (-1)^(n-1), from its left end
+    # 2^-n on: the value there and just above is the primitive's slope
+    g = SignModulate(inner)
+    for n in range(1, 40):
+        for x in (2.0 ** -n, np.nextafter(2.0 ** -n, 1.0)):
+            h = 2.0 ** (-n - 12)
+            slope = (g.primitive(x + h) - g.primitive(x)) / h
+            assert np.sign(g.value(x)) == (-1.0) ** (n - 1), (n, x)
+            assert g.value(x) == pytest.approx(slope, rel=1e-2), (n, x)
+
+
 def test_average_power_on_spine():
     assert average(Power(1.0, -0.5), spine(1)) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
 
@@ -349,8 +362,17 @@ def test_sign_modulate_primitive_at_deep_points():
     # mass of I_k is (-1)^k 2^-k / 3
     assert g.primitive(2.0 ** -1000) == pytest.approx(2.0 ** -1000 / 3.0, rel=1e-14)
     assert g.primitive(2.0 ** -1001) == pytest.approx(-(2.0 ** -1001) / 3.0, rel=1e-14)
-    with pytest.raises(NonIntegrableError, match="depth 1074"):
-        g.primitive(5e-324)
+    # the least double 2^-1074 ends the shell J_1075: its mass 2^-1074 / 3
+    # to within one subnormal step
+    assert abs(g.primitive(5e-324) - 2.0 ** -1074 / 3.0) <= 2.0 ** -1074
+
+
+def test_the_least_double_ends_the_last_shell():
+    # 2^-1074 lies in J_1075, below every shell with a nonzero double left
+    # end: primitive returns its mass (0 as a double), dividing by no zero
+    with np.errstate(divide="raise", invalid="raise"):
+        for g in (LogPowerPlain(0.4), SignModulate(LogPowerPlain(0.4)), _direct_sum().w):
+            assert g.primitive(5e-324) == 0.0
 
 
 def test_piecewise_dyadic_value_array_matches_scalar_calls():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dyadicsq.density import Constant, Power, SignModulate
+from dyadicsq.density import LN2, Constant, Power, SignModulate
 from dyadicsq.experiments import (
     FAMILIES,
+    _exp_series,
+    _zeta,
     default_beta_grid,
     default_r,
     direct_sum_block_snorm_p,
@@ -96,6 +98,23 @@ def test_direct_sum_block_identity():
             assert got == pytest.approx(want, rel=1e-4)
 
 
+def test_zeta_is_the_multiprecision_zeta():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for z in np.concatenate([np.linspace(2.0, 40.0, 381), [2.05, 2.25, 3.05, 3.75, 4.5]]):
+            assert _zeta(float(z)) == pytest.approx(float(mpmath.zeta(float(z))), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("s", [1.05, 1.25, 1.5, 2.0, 2.75, 3.5])
+def test_the_small_a_expansion_is_the_direct_series(s):
+    # below a = ln2/64 the series is Gamma(s+1) a^-(s+1) + zeta(-s) - a zeta(-s-1),
+    # whose first dropped term zeta(-s-2) a^2/2 is below 1e-10 of it
+    for a in (LN2 / 65.0, LN2 / 200.0, LN2 / 1000.0):
+        n = np.arange(1.0, math.ceil((40.0 * s + 60.0) / a) + 1.0)
+        assert _exp_series(s, np.array([a]))[0] == pytest.approx(np.sum(n ** s * np.exp(-a * n)),
+                                                                 rel=1e-10)
+
+
 def test_direct_sum_divergence_report():
     rep = divergence_experiment("direct_sum", 4.0, k_max=2000)
     f = rep.columns["fnorm_p_partial"]
@@ -121,6 +140,11 @@ def test_divergence_validation():
         divergence_experiment("lerner", 3.0, k_max=1000)
     with pytest.raises(ValueError):
         divergence_experiment("lai_treil", 3.0, 0.4, k_max=10 ** 7)
+    # as for direct_sum_family: the fnorm series diverges at p <= 2, and the
+    # tail bound came out negative (p < 2) or inf (p = 2)
+    for p in (1.5, 2.0):
+        with pytest.raises(ValueError, match="p must be > 2"):
+            divergence_experiment("direct_sum", p, k_max=100)
 
 
 def test_extension_constant_pair():

@@ -92,9 +92,10 @@ def test_lai_treil_closed_forms():
     assert inst.fnorm_p_density.integrate(0.0, 1.0) == pytest.approx(5.0 * LN2, rel=1e-11)
     assert inst.predicted["w_spine_mass"](0) == pytest.approx(5.0 * LN2, rel=1e-13)
     assert inst.w.spine_mass(0) == pytest.approx(5.0 * LN2, rel=1e-12)
-    # sigma*f is sigma times the pointwise f = (-1)^floor(-log2 x) x^(-1/(p-1)) (1 - log2 x)^-r
+    # sigma*f is sigma times the pointwise f = (-1)^(n-1) x^(-1/(p-1)) (1 - log2 x)^-r
+    # on J_n = [2^-n, 2^(1-n)), whose left end 2^-n (here 0.5) has the shell's sign
     xs = np.linspace(0.01, 0.99, 199)
-    f = (-1.0) ** np.floor(-np.log2(xs)) * xs ** -0.5 * (1.0 - np.log2(xs)) ** -0.4
+    f = (-1.0) ** -np.frexp(xs)[1] * xs ** -0.5 * (1.0 - np.log2(xs)) ** -0.4
     assert f[np.searchsorted(xs, 0.3)] < 0.0  # J_2 has sign -1
     np.testing.assert_allclose(np.asarray(inst.sigma_f.value(xs)),
                                np.asarray(inst.sigma.value(xs)) * f, rtol=1e-12)
