@@ -243,11 +243,17 @@ def _fresh_python(code: str, *args: str) -> str:
                           stdout=subprocess.PIPE, text=True).stdout
 
 
+def test_cli_import_leaves_scipy_signal_out():
+    # no module of the package imports scipy, scipy.signal included
+    _fresh_python("import dyadicsq.cli, sys; "
+                  "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]")
+
+
 # a fresh process in which every import of scipy raises ImportError
 _NO_SCIPY = "import sys; sys.modules['scipy'] = None; "
 
-_EVERY_SUBCOMMAND = _NO_SCIPY + """
-import os
+_SUBCOMMANDS_IN_A_FRESH_PROCESS = """
+import os, sys
 from dyadicsq.cli import run
 out = sys.argv[1]
 for cmd in (
@@ -260,12 +266,19 @@ for cmd in (
     "divergence --family direct_sum --p 4 --k-max 10000",
 ):
     assert run([*cmd.split(), "--out", os.path.join(out, "x.csv")]) == 0, cmd
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
+
+
+def test_start_up_and_small_commands_load_no_scipy(tmp_path):
+    # with scipy importable, no subcommand loads it, the direct-sum divergence
+    # included
+    assert _fresh_python(_SUBCOMMANDS_IN_A_FRESH_PROCESS, str(tmp_path)).strip() == "[]"
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency
-    _fresh_python(_EVERY_SUBCOMMAND, str(tmp_path))
+    _fresh_python(_NO_SCIPY + _SUBCOMMANDS_IN_A_FRESH_PROCESS, str(tmp_path))
 
 
 def test_a_fresh_process_without_scipy_gives_the_in_process_values(tmp_path):
