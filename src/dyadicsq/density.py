@@ -26,6 +26,9 @@ Conventions:
   reduction over the blocks (``squarefn.partial_mass_profile``) runs in memory
   independent of n_max; its ``spine_averages`` is the same blocks copied into
   one array, so the eager and the streamed spine are one fold, float for float;
+* a :class:`PiecewiseDyadic` places a block density on (0, 1) on each shell
+  J_n through the maps u = 2^n x - 1 or, mirrored, u = 2 - 2^n x, both exact
+  in double, and takes its masses as 2^-n times the block's;
 * the shell averages of :class:`LogPowerPlain` are a 16-node Gauss-Legendre
   rule, summed node by node below shell 1024 and from there as its series in
   1/n, cut after 8 terms: the dropped terms are at most |binom(-s, 8)| n^-8
@@ -389,8 +392,9 @@ class LogPowerPlain(ShellwiseDensity):
         v = np.where(inside, _u(xs) ** (-self.s), 0.0)
         return np.where(x == 0, 1.0, v)
 
-    def shell_avgs_vec(self, n_lo: int, n_hi: int):
-        """Averages over J_n for n in [n_lo, n_hi], vectorized.
+    def _shell_avgs(self, n_lo: int, n_hi: int):
+        """Averages over J_n for n in [n_lo, n_hi], vectorized in double and
+        cast once to extended precision.
 
         <g>_{J_n} = ln2 * int_0^1 2^(1-tau) (n + tau)^(-s) dtau, a smooth
         integrand handled to machine precision by fixed-order Gauss-Legendre:
@@ -411,10 +415,7 @@ class LogPowerPlain(ShellwiseDensity):
             tail *= u
         tail += coef[0]
         tail *= n ** (-self.s)
-        return np.concatenate([head, tail])
-
-    def _shell_avgs(self, n_lo: int, n_hi: int):
-        return _as_longdouble(self.shell_avgs_vec(n_lo, n_hi))
+        return _as_longdouble(np.concatenate([head, tail]))
 
     def _partial(self, n, t):
         # analytic within three half-lengths of [2^-n, t): 16 nodes reach rounding
@@ -427,21 +428,6 @@ class LogPowerPlain(ShellwiseDensity):
 
 # ---------------------------------------------------------------------------
 # combinators
-
-
-@dataclass(frozen=True)
-class Scale(Density):
-    c: float
-    inner: Density
-
-    def value(self, x):
-        return self.c * self.inner.value(x)
-
-    def primitive(self, t):
-        return self.c * self.inner.primitive(t)
-
-    def integrate(self, a, b):
-        return self.c * self.inner.integrate(a, b)
 
 
 @dataclass(frozen=True)
@@ -464,70 +450,21 @@ class SignModulate(ShellwiseDensity):
         return np.where(n % 2 == 1, 1.0, -1.0) * self.inner._partial(n, t)
 
 
-@dataclass(frozen=True)
-class AffinePullback(Density):
-    """x -> inner((x - offset)/scale), or inner((offset - x)/scale) if reflected.
-
-    The image of the inner support (0, 1) is [offset, offset + scale) in the
-    forward case and (offset - scale, offset] reflected; masses over the image
-    are exactly scale times the inner masses (no Jacobian compensation).
-    Reflected, ``primitive`` resolves small masses near the far end of the
-    image (inner u near 1) only to the rounding of the inner's total mass:
-    LogPowerPlain reflected onto (0, 1] gives [1.37 2^-30, 2^-29) 1.8e-7
-    relative off.  No family reflects a density without a closed form.
-    """
-
-    inner: Density
-    offset: float
-    scale: float
-    reflected: bool = False
-
-    def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError("degenerate pullback scale")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.reflected:
-            return self.offset - self.scale, self.offset
-        return self.offset, self.offset + self.scale
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x >= lo) & (x < hi)
-        if self.reflected:
-            u = (self.offset - x) / self.scale
-        else:
-            u = (x - self.offset) / self.scale
-        u = np.clip(u, 0.0, 1.0)
-        return np.where(inside, self.inner.value(u), 0.0)
-
-    def _inner_range(self, a, b):
-        """[a, b) cut to the support, in inner coordinates cut to [0, 1]."""
-        lo, hi = self.support
-        a2, b2 = np.maximum(a, lo), np.minimum(b, hi)
-        if self.reflected:
-            ua, ub = (self.offset - b2) / self.scale, (self.offset - a2) / self.scale
-        else:
-            ua, ub = (a2 - self.offset) / self.scale, (b2 - self.offset) / self.scale
-        return np.maximum(ua, 0.0), np.minimum(ub, 1.0)
-
-    def integrate(self, a, b):
-        ua, ub = self._inner_range(a, b)
-        if ua >= ub:
-            return 0.0
-        return self.scale * self.inner.integrate(float(ua), float(ub))
-
-    def primitive(self, t):
-        ua, ub = self._inner_range(0.0, np.asarray(t, dtype=float))
-        ua = np.minimum(ua, 1.0)
-        ub = np.maximum(ub, ua)  # an empty range gives inner mass 0 exactly
-        return (self.scale * (self.inner.primitive(ub) - self.inner.primitive(ua)))[()]
-
-
 class PiecewiseDyadic(ShellwiseDensity):
-    """A density glued shell by shell: piece(n) is supported on J_n, n >= 1."""
+    """A density glued shell by shell from blocks on (0, 1).
+
+    ``piece(n)`` is (g, mirrored), placing the block g on J_n = [2^-n, 2^(1-n))
+    through u = 2^n x - 1, or u = 2 - 2^n x if mirrored (its point u = 0 then
+    at the right end of the shell), or None for an empty shell.  Both maps are
+    exact in double, and a mass over J_n is 2^-n times the block's mass over
+    the image, with no Jacobian compensation.  Mirrored, a partial mass is
+    2^-n (P(1) - P(u)) for the block's primitive P, so it resolves small
+    masses near the left end of the shell (u near 1) only to the rounding of
+    the block's total mass: against 40-digit quadrature, a mirrored
+    LogPowerPlain(0.4) on J_1 gives the mass of [1/2, 1/2 + 1.37 2^-21)
+    1.3e-10 relative off, and of [1/2, 1/2 + 1.37 2^-31) 8.7e-8.  No family
+    mirrors a block without a closed form.
+    """
 
     # a spine fold then reads only shells n <= 900 + _SUFFIX_TAPS < _MAX_SHELL,
     # where the pieces exist
@@ -536,13 +473,14 @@ class PiecewiseDyadic(ShellwiseDensity):
     def __init__(self, piece_fn, name: str = "piecewise"):
         self._piece_fn = piece_fn
         self._name = name
-        self._pieces: dict[int, Density] = {}
+        self._pieces: dict[int, tuple[Density, bool] | None] = {}
         self._masses: dict[int, float] = {}
 
-    def piece(self, n: int) -> Density | None:
-        """The piece on J_n; shells past _MAX_SHELL (left end 2^-n = 0 as a
-        double) are empty, their mass being below the smallest double."""
-        if n > _MAX_SHELL:
+    def piece(self, n: int) -> tuple[Density, bool] | None:
+        """The block on J_n and whether it is mirrored, for n >= 1; shells past
+        _MAX_SHELL (left end 2^-n = 0 as a double) are empty, their mass being
+        below the smallest double."""
+        if not 1 <= n <= _MAX_SHELL:
             return None
         if n not in self._pieces:
             self._pieces[n] = self._piece_fn(n)
@@ -551,25 +489,35 @@ class PiecewiseDyadic(ShellwiseDensity):
     def piece_mass(self, n: int) -> float:
         if n not in self._masses:
             p = self.piece(n)
-            self._masses[n] = 0.0 if p is None else p.integrate(0.5 ** n, 0.5 ** (n - 1))
+            self._masses[n] = 0.0 if p is None else float(
+                np.ldexp(p[0].primitive(1.0) - p[0].primitive(0.0), -n))
         return self._masses[n]
+
+    def _blocks(self, n):
+        """(shell k, its block, mirrored, the points of n in it) for the
+        nonempty shells among n."""
+        for k in np.unique(n).tolist():
+            if (p := self.piece(k)) is not None:
+                yield k, *p, n == k
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         inside = (x > 0) & (x < 1)
-        n = _shell_of(np.where(inside, x, 0.5))
+        n = np.where(inside, _shell_of(np.where(inside, x, 0.5)), 0)
         out = np.where(x == 0.0, 1.0, 0.0)
-        for k in np.unique(n[inside]).tolist():
-            if (p := self.piece(k)) is not None:
-                out[inside & (n == k)] = p.value(x[inside & (n == k)])
+        for k, g, mirrored, at in self._blocks(n):
+            y = np.ldexp(x[at], k)
+            out[at] = g.value(2.0 - y if mirrored else y - 1.0)
         return out[()]
 
     def _partial(self, n, t):
-        # a piece lives on its shell, so its primitive is its partial mass
         out = np.zeros_like(t)
-        for k in np.unique(n).tolist():
-            if (p := self.piece(k)) is not None:
-                out[n == k] = p.primitive(t[n == k])
+        for k, g, mirrored, at in self._blocks(n):
+            y = np.ldexp(t[at], k)
+            if mirrored:
+                out[at] = np.ldexp(g.primitive(1.0) - g.primitive(2.0 - y), -k)
+            else:
+                out[at] = np.ldexp(g.primitive(y - 1.0) - g.primitive(0.0), -k)
         return out
 
     def _shell_avgs(self, n_lo: int, n_hi: int):

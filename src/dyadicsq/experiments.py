@@ -251,6 +251,24 @@ def _log_spaced_ks(k_max: int, n_pts: int = 160) -> np.ndarray:
     return np.unique(np.geomspace(1, k_max, n_pts).astype(np.int64))
 
 
+def _window_fit(xs: np.ndarray, ys: np.ndarray, window: np.ndarray, fit) -> FitResult:
+    """``fit(x, y)`` -> (slope, intercept, max relative residual) over the
+    points in ``window``, a tail of the table; NaN throughout when the window
+    holds fewer than 3 points, which no fit of two parameters can be judged by."""
+    if np.count_nonzero(window) < 3:
+        return FitResult(math.nan, math.nan, math.nan, (math.nan, math.nan))
+    sl, ic, res = fit(xs[window], ys[window])
+    return FitResult(sl, ic, res, (float(xs[window][0]), float(xs[-1])))
+
+
+def _log_affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares y = slope * ln x + intercept, with the max relative residual."""
+    lx = np.log(x.astype(float))
+    sl, ic = np.polyfit(lx, y, 1)
+    res = float(np.max(np.abs(ic + sl * lx - y) / y))
+    return float(sl), float(ic), res
+
+
 def lai_treil_divergence(p: float, r: float, k_max: int) -> Report:
     """Partial masses m_k of int_{I_k} S(sigma f)^p w against the closed-form
     lower bound C1 * C2' * (sum_{n=2}^{k+1} n^-2r)^(p/2-1)."""
@@ -263,12 +281,7 @@ def lai_treil_divergence(p: float, r: float, k_max: int) -> Report:
                            for b in range(0, k_max, _FOLD_BLOCK)), ks, np.float64)
     c = inst.predicted["partial_mass_c1"] * inst.predicted["partial_mass_c2"]
     bound = c * zsum ** (p / 2.0 - 1.0)
-    window = ks >= max(1, k_max // 100)
-    if np.count_nonzero(window) >= 3:
-        sl, ic, res = exponent_fit(zip(ks[window], mk[window]))
-        fit = FitResult(sl, ic, res, (float(ks[window][0]), float(ks[-1])))
-    else:
-        fit = FitResult(math.nan, math.nan, math.nan, (math.nan, math.nan))
+    fit = _window_fit(ks, mk, ks >= max(1, k_max // 100), lambda x, y: exponent_fit(zip(x, y)))
     with np.errstate(divide="ignore"):
         ratio = np.where(bound > 0, mk / np.where(bound > 0, bound, 1.0), np.inf)
     cols = {"k": ks.astype(float), "partial_mass": mk, "paper_bound": bound, "ratio": ratio}
@@ -345,12 +358,7 @@ def direct_sum_divergence(p: float, k_max: int) -> Report:
     snorm_partial = np.cumsum(snorm_terms)[Ks - 1]
     # integral majorant of the dropped blocks j >= K
     tail = (2.0 * Ks.astype(float) - 1.0) ** (1.0 - p / 2.0) / (p - 2.0)
-    window = Ks >= max(3, k_max // 100)
-    lk = np.log(Ks[window].astype(float))
-    sl, ic = np.polyfit(lk, snorm_partial[window], 1)
-    pred = ic + sl * lk
-    res = float(np.max(np.abs(pred - snorm_partial[window]) / snorm_partial[window]))
-    fit = FitResult(float(sl), float(ic), res, (float(Ks[window][0]), float(Ks[-1])))
+    fit = _window_fit(Ks, snorm_partial, Ks >= max(3, k_max // 100), _log_affine_fit)
     cols = {"K": Ks.astype(float), "fnorm_p_partial": fnorm_partial,
             "fnorm_p_tail_bound": tail, "snorm_p_partial": snorm_partial}
     return Report({"command": "divergence", "family": "direct_sum", "p": p, "k_max": k_max,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .density import (
     LN2,
-    AffinePullback,
     Constant,
     Density,
     LogPowerOverX,
@@ -25,7 +24,6 @@ from .density import (
     PeriodicReflect,
     PiecewiseDyadic,
     Power,
-    Scale,
     SignModulate,
 )
 
@@ -178,13 +176,6 @@ def direct_sum_coefficient(k: int, p: float) -> float:
     return k ** (-0.5 - 1.0 / p) * 2.0 ** (k / p)
 
 
-def _pullback_onto_shell(inner: Density, k: int, reflect: bool) -> Density:
-    """Map a [0,1)-density onto J_k; reflected pieces anchor at the right end."""
-    if reflect:
-        return AffinePullback(inner, offset=2.0 ** (1 - k), scale=2.0 ** -k, reflected=True)
-    return AffinePullback(inner, offset=2.0 ** -k, scale=2.0 ** -k, reflected=False)
-
-
 def direct_sum_family(p: float) -> FamilyInstance:
     """Glue rescaled one-singularity blocks (beta_k = 1 - 1/k) onto the shells.
 
@@ -195,36 +186,25 @@ def direct_sum_family(p: float) -> FamilyInstance:
     if p <= 2.0:
         raise ValueError("p must be > 2")
 
-    def w_piece(k: int) -> Density:
-        if k % 2 == 0:
-            kk = k - 1
-            return _pullback_onto_shell(Power(1.0 - _beta_k(kk), -_beta_k(kk)), k, True)
-        return _pullback_onto_shell(Power(1.0 - _beta_k(k), -_beta_k(k)), k, False)
+    def mirrored(block):
+        """block(k) on the odd shells k, mirrored from shell k - 1 onto the even ones."""
+        return lambda k: (block(k - 1), True) if k % 2 == 0 else (block(k), False)
 
-    def sigma_piece(k: int) -> Density:
-        if k % 2 == 0:
-            kk = k - 1
-            return _pullback_onto_shell(Power(1.0, _beta_k(kk) / (p - 1.0)), k, True)
-        return _pullback_onto_shell(Power(1.0, _beta_k(k) / (p - 1.0)), k, False)
-
-    def sigma_f_piece(k: int) -> Density | None:
-        if k % 2 == 0:
-            return None
-        return _pullback_onto_shell(Scale(direct_sum_coefficient(k, p), SignModulate(Constant(1.0))), k, False)
-
-    def fnorm_piece(k: int) -> Density | None:
-        if k % 2 == 0:
-            return None
-        c = direct_sum_coefficient(k, p)
-        return _pullback_onto_shell(Scale(c ** p, Power(1.0, -_beta_k(k))), k, False)
+    def odd(block):
+        return lambda k: None if k % 2 == 0 else (block(k), False)
 
     inst = FamilyInstance(
         name="direct_sum",
         p=p,
-        w=PiecewiseDyadic(w_piece, "direct_sum w"),
-        sigma=PiecewiseDyadic(sigma_piece, "direct_sum sigma"),
-        sigma_f=PiecewiseDyadic(sigma_f_piece, "direct_sum sigma*f"),
-        fnorm_p_density=PiecewiseDyadic(fnorm_piece, "direct_sum |f|^p sigma"),
+        w=PiecewiseDyadic(mirrored(lambda k: Power(1.0 - _beta_k(k), -_beta_k(k))),
+                          "direct_sum w"),
+        sigma=PiecewiseDyadic(mirrored(lambda k: Power(1.0, _beta_k(k) / (p - 1.0))),
+                              "direct_sum sigma"),
+        sigma_f=PiecewiseDyadic(odd(lambda k: SignModulate(Constant(direct_sum_coefficient(k, p)))),
+                                "direct_sum sigma*f"),
+        fnorm_p_density=PiecewiseDyadic(
+            odd(lambda k: Power(direct_sum_coefficient(k, p) ** p, -_beta_k(k))),
+            "direct_sum |f|^p sigma"),
         predicted={"block_fnorm_p": lambda k: float(k) ** (-p / 2.0)},
     )
     # closed form is per block here; verify the first blocks by integration

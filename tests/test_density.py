@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dyadicsq.density import (
     LN2,
-    AffinePullback,
     Constant,
     Density,
     LogPowerOverX,
@@ -17,7 +16,6 @@ from dyadicsq.density import (
     PeriodicReflect,
     PiecewiseDyadic,
     Power,
-    Scale,
     ShellwiseDensity,
     SignModulate,
     average,
@@ -42,7 +40,7 @@ CLOSED_FORM_DENSITIES = [
     Power(1.0, -0.5),
     Power(2.0, 0.25),
     LogPowerOverX(1.0, 1.2),
-    Scale(0.5, Power(1.0, -0.25)),
+    Power(0.5, -0.25),
     LogPowerOverX(2.0, 1.8),
 ]
 
@@ -103,7 +101,7 @@ def test_log_power_plain_shell_mass_bracket():
 @given(st.integers(0, 400))
 def test_log_power_plain_vectorized_shells_match_integrate(n0):
     g = LogPowerPlain(0.4)
-    got = g.shell_avgs_vec(n0 + 1, n0 + 1)[0] * 2.0 ** -(n0 + 1)
+    got = float(g._shell_avgs(n0 + 1, n0 + 1)[0]) * 2.0 ** -(n0 + 1)
     if n0 < 40:  # quad path only resolves shells above underflow
         assert got == pytest.approx(g.integrate(0.5 ** (n0 + 1), 0.5 ** n0), rel=1e-10)
     assert got > 0.0 or n0 > 1070
@@ -147,35 +145,26 @@ def test_sign_modulate_pointwise_sign():
     assert g.value(0.2) == 1.0    # J_3
 
 
+def _one_block(block, n, mirrored=False):
+    """The density that is ``block`` carried onto the shell J_n alone."""
+    return PiecewiseDyadic(lambda k: (block, mirrored) if k == n else None)
+
+
 def test_affine_pullback_mass_scaling():
     inner = Power(1.0, -0.5)
     k = 5
-    g = AffinePullback(inner, offset=2.0 ** -k, scale=2.0 ** -k)
+    g = _one_block(inner, k)
     assert g.integrate(2.0 ** -k, 2.0 ** (1 - k)) == pytest.approx(
         2.0 ** -k * inner.integrate(0.0, 1.0), rel=1e-12)
     assert g.integrate(0.0, 2.0 ** -k) == 0.0
 
 
-def test_affine_pullback_identity():
-    inner = Power(1.0, -0.5)
-    ident = AffinePullback(inner, offset=0.0, scale=1.0)
-    for a, b in [(0.0, 1.0), (0.25, 0.5), (0.1, 0.9)]:
-        assert ident.integrate(a, b) == pytest.approx(inner.integrate(a, b), rel=1e-12)
-
-
 def test_affine_pullback_reflected_orientation():
     inner = Power(1.0, -0.5)
-    g = AffinePullback(inner, offset=0.5, scale=0.25, reflected=True)
-    lo, hi = g.support
-    assert (lo, hi) == (0.25, 0.5)
+    g = _one_block(inner, 2, mirrored=True)
     # the singularity of the source sits at the right end of the image
     assert g.value(0.499) > g.value(0.26)
     assert g.integrate(0.25, 0.5) == pytest.approx(0.25 * 2.0, rel=1e-12)
-
-
-def test_degenerate_pullback_scale():
-    with pytest.raises(ValueError):
-        AffinePullback(Constant(1.0), offset=0.0, scale=0.0)
 
 
 def test_non_integrable_rejected():
@@ -219,8 +208,37 @@ def test_log_shell_masses_match_shell_mass():
             assert logs[n] == pytest.approx(math.log(g.integrate(0.5 ** n, 0.5 ** (n - 1))), rel=1e-11)
 
 
+_BLOCKS = {"power": Power(1.5, -0.75), "log_power_plain": LogPowerPlain(0.4),
+           "sign_constant": SignModulate(Constant(3.0))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_BLOCKS)), st.integers(1, 1074), st.booleans(),
+       st.floats(0.0, 1.0, exclude_min=True))
+@example("log_power_plain", 1074, True, 1.0)  # the deepest shell, one subnormal wide
+@example("power", 1, False, 2.0 ** -52)
+def test_a_block_lands_on_its_shell_exactly(name, n, mirrored, frac):
+    block = _BLOCKS[name]
+    g = _one_block(block, n, mirrored)
+    assert g.piece_mass(n) == np.ldexp(block.integrate(0.0, 1.0), -n)
+    t = float(np.ldexp(1.0 + frac, -n))  # rounds on the subnormal shells
+    assume(2.0 ** -n < t)
+    # the image of [2^-n, t) is [0, u) forward and (u, 1] mirrored, u exact
+    if mirrored:
+        u = 2.0 - float(np.ldexp(t, n))
+        assert np.ldexp(2.0 - u, -n) == t
+        want = np.ldexp(block.primitive(1.0) - block.primitive(u), -n)
+    else:
+        u = float(np.ldexp(t, n)) - 1.0
+        assert np.ldexp(u + 1.0, -n) == t
+        want = np.ldexp(block.primitive(u) - block.primitive(0.0), -n)
+    assert g._partial(np.array([n]), np.array([t]))[0] == want
+    # nothing lies below the block, so its primitive is the partial mass
+    assert g.primitive(t) == want
+
+
 def test_piecewise_dyadic_constant_blocks():
-    g = PiecewiseDyadic(lambda n: AffinePullback(Constant(1.0), 2.0 ** -n, 2.0 ** -n))
+    g = PiecewiseDyadic(lambda n: (Constant(1.0), False))
     for n in range(1, 10):
         assert g.piece_mass(n) == pytest.approx(2.0 ** -n, rel=1e-12)
     assert g.primitive(2.0 ** -3) == pytest.approx(2.0 ** -3, rel=1e-12)
@@ -230,8 +248,7 @@ def test_piecewise_dyadic_constant_blocks():
 def test_piecewise_dyadic_suffix_mass_skips_empty_shells():
     # gluings with empty shells must not stop the tail summation early
     g = PiecewiseDyadic(
-        lambda n: None if n % 2 == 0
-        else AffinePullback(Constant(1.0), 2.0 ** -n, 2.0 ** -n))
+        lambda n: None if n % 2 == 0 else (Constant(1.0), n % 4 == 3))
     want = sum(2.0 ** -n for n in range(1, 120, 2))
     assert g.primitive(1.0) == pytest.approx(want, rel=1e-13)
     assert g.integrate(0.0, 1.0) == pytest.approx(want, rel=1e-13)
@@ -272,12 +289,6 @@ def _direct_sum():
     return direct_sum_family(3.0)
 
 
-def _onto_shell(n, reflected):
-    # LogPowerPlain placed on J_n the way the glued families place their blocks
-    offset = 2.0 ** (1 - n) if reflected else 2.0 ** -n
-    return AffinePullback(LogPowerPlain(0.4), offset, 2.0 ** -n, reflected)
-
-
 # densities integrated through the shell-indexed path, built for shell n; the
 # quadrature oracle is trusted only where the integrand is smooth, so every
 # one breaks at powers of two at most
@@ -285,8 +296,8 @@ SHELLWISE = {
     "log_power_plain": lambda n: LogPowerPlain(0.4),
     "sign_constant": lambda n: SignModulate(Constant(1.0)),
     "sign_log_power_plain": lambda n: SignModulate(LogPowerPlain(0.4)),
-    "pullback_forward": lambda n: _onto_shell(n, False),
-    "pullback_reflected": lambda n: _onto_shell(n, True),
+    "pullback_forward": lambda n: _one_block(LogPowerPlain(0.4), n),
+    "pullback_reflected": lambda n: _one_block(LogPowerPlain(0.4), n, mirrored=True),
     "direct_sum_sigma": lambda n: _direct_sum().sigma,
 }
 
@@ -407,7 +418,7 @@ def _ref_shell_avgs(g, n_hi):
     if isinstance(g, PiecewiseDyadic):
         return np.ldexp(np.array([g.piece_mass(k) for k in n.tolist()], dtype=np.longdouble), n)
     if isinstance(g, LogPowerPlain):
-        return g.shell_avgs_vec(1, n_hi).astype(np.longdouble)
+        return g._shell_avgs(1, n_hi)
     if isinstance(g, SignModulate):
         return np.where(n % 2 == 1, 1, -1) * _ref_shell_avgs(g.inner, n_hi)
     if isinstance(g, (Power, LogPowerOverX)):
@@ -448,10 +459,9 @@ def _tail_summed_mass(g, k):
 def _folding_densities():
     from dyadicsq.families import direct_sum_family
 
-    # the SHELLWISE densities that fold their own shells (the pullbacks fold
-    # through their inner LogPowerPlain), plus sigma*f, whose averages grow
-    out = {name: make(3) for name, make in SHELLWISE.items()
-           if not name.startswith("pullback")}
+    # the SHELLWISE densities, the pullbacks one block on J_3, plus sigma*f,
+    # whose averages grow
+    out = {name: make(3) for name, make in SHELLWISE.items()}
     for p in (2.5, 4.0):
         out[f"direct_sum_sigma_f_{p}"] = direct_sum_family(p).sigma_f
     return out
@@ -623,7 +633,7 @@ _SERIES_SHELLS = [1, 2, 3, 10, 30, 100, 300, 1023, 1024, 1025, *(2 ** k for k in
 
 @functools.cache
 def _shells_to_2_20(s):
-    return LogPowerPlain(s).shell_avgs_vec(1, 2 ** 20)
+    return LogPowerPlain(s)._shell_avgs(1, 2 ** 20).astype(float)
 
 
 def _ulps_off(got, want):
@@ -636,9 +646,9 @@ def test_shell_averages_match_the_node_by_node_rule(s):
     for n in _SERIES_SHELLS:
         want = _gl_shell_avg(s, n)
         assert _ulps_off(_shells_to_2_20(s)[n - 1], want) <= 4, n
-        assert _ulps_off(g.shell_avgs_vec(n, n)[0], want) <= 4, n
+        assert _ulps_off(float(g._shell_avgs(n, n)[0]), want) <= 4, n
     # a range that straddles the split
-    for n, got in enumerate(g.shell_avgs_vec(1000, 1100).tolist(), 1000):
+    for n, got in enumerate(g._shell_avgs(1000, 1100).astype(float).tolist(), 1000):
         assert _ulps_off(got, _gl_shell_avg(s, n)) <= 4, n
 
 
@@ -654,6 +664,6 @@ def test_series_shells_match_the_node_by_node_rule(s, n):
 @example(0.4, 1, 2 ** 20, 0)  # a BLAS matmul moved shell 1022 by 1 ulp with the row count
 def test_each_shell_average_is_independent_of_the_range(s, a, b, k):
     g = LogPowerPlain(s)
-    got = g.shell_avgs_vec(a, b)
+    got = g._shell_avgs(a, b)
     for n in [*range(a, min(b, 1100) + 1), a + k % (b - a + 1)]:
-        assert got[n - a] == g.shell_avgs_vec(n, n)[0], n
+        assert got[n - a] == g._shell_avgs(n, n)[0], n

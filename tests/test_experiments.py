@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ def test_lai_treil_divergence_report():
     assert np.all(np.diff(rep.columns["partial_mass"]) > 0)
     target = (1.0 - 2.0 * r) * (p / 2.0 - 1.0)
     assert rep.fits["partial_mass"].slope > 0.5 * target
+
+
+def test_divergence_windows_of_fewer_than_3_points_give_nan_fits():
+    # the direct_sum window starts at K = 3, so k_max 3 and 4 leave 1 and 2
+    # points in it, and lai_treil at k_max 2 leaves 2: no line through them,
+    # and no RankWarning from one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = [divergence_experiment("direct_sum", 3.0, k_max=k).fits["snorm_p_partial"]
+                for k in (3, 4)]
+        fits.append(divergence_experiment("lai_treil", 3.0, 0.4, k_max=2).fits["partial_mass"])
+        three = divergence_experiment("direct_sum", 3.0, k_max=5).fits["snorm_p_partial"]
+    for fit in fits:
+        assert all(math.isnan(v) for v in (fit.slope, fit.intercept, fit.max_residual, *fit.window))
+    assert three.window == (3.0, 5.0) and math.isfinite(three.slope)
 
 
 def test_divergence_validation():

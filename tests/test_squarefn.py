@@ -11,7 +11,6 @@ from dyadicsq.density import (
     LogPowerPlain,
     NonIntegrableError,
     Power,
-    Scale,
     ShellwiseDensity,
     SignModulate,
 )
@@ -48,7 +47,7 @@ def test_martingale_difference_power_root():
 
 @settings(max_examples=30)
 @given(st.integers(0, 10), st.integers(0, 2 ** 10 - 1),
-       st.sampled_from([Power(1.0, -0.5), ALT_SF, Scale(2.0, Power(1.0, 0.25))]))
+       st.sampled_from([Power(1.0, -0.5), ALT_SF, Power(2.0, 0.25)]))
 def test_mean_zero(level, index, g):
     q = DyadicInterval(level, index % 2 ** level if level else 0)
     dl, dr = martingale_difference(g, q)
@@ -112,7 +111,7 @@ def test_spine_below_full_everywhere():
 
 
 @pytest.mark.parametrize("g", [Power(1.0, -0.5), ALT_SF, Constant(2.0),
-                               Scale(0.5, Power(1.0, 0.25))])
+                               Power(0.5, 0.25)])
 def test_finite_depth_parseval(g):
     depth = 12
     avgs = level_averages(g, depth)
