@@ -137,26 +137,42 @@ def _ainfty_radial(sigma: Density, n_max: int) -> CharacteristicEstimate:
 
 def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
     """The radial candidate of each root I_m, m = 0..top, as doubles."""
-    # table[k] = max(c[k], J_{k+1}) 2^-(k+1) on the shell J_{k+1}, with
-    # c[k] = C_m[k] = max I_{m..k} the best spine average from root m down to
-    # I_k.  Root m's candidate sums table[m:], the terms of the weights 2^(m-n)
+    # table[k] = max(C_m[k], J_{k+1}) 2^-(k+1) on the shell J_{k+1}, with
+    # C_m[k] = max I_{m..k} the best spine average from root m down to I_k.
+    # Root m's candidate sums table[m:], the terms of the weights 2^(m-n)
     # times 2^-m (exactly, while no term is subnormal), in the same order.
-    weights = np.ldexp(_LD(1), -np.arange(1, n_max + 1))  # 2^-(k+1), exp2's values
-    # C_top on [top, n_max); below top, I_k stands until root k takes over
-    c = np.concatenate((i_avg[:top], np.maximum.accumulate(i_avg[top:n_max])))
-    table = np.maximum(c, j_avg[1:])
+    weights = np.full(n_max, _LD(0.5)).cumprod()  # 2^-(k+1), the bits of np.ldexp
+    # C_top on [top, n_max), NaN sorting last; below top, I_k stands until
+    # root k takes over
+    deep = np.maximum.accumulate(i_avg[top:n_max])
+    table = np.empty(n_max, dtype=_LD)
+    np.maximum(i_avg[:top], j_avg[1 : top + 1], out=table[:top])
+    np.maximum(deep, j_avg[top + 1 :], out=table[top:])
     table *= weights
+    # I_m replaces C_(m+1) on [m+1, ends[m]), where C_(m+1) < I_m (nowhere, if
+    # averages grow with depth; root top never leads).  C_(m+1) is
+    # nondecreasing, NaN sorting last: row m of runs, the running maximum of
+    # I_(m+1)..I_(top-1) and then a NaN (the column reached when none of them
+    # passes I_m), then that maximum against C_top, which passes I_m where
+    # C_top does once those roots stay below it
+    roots = i_avg[: top + 1]
+    cols = np.arange(top + 1)
+    below = cols > cols[:, None]
+    runs = np.maximum.accumulate(np.where(below, np.append(i_avg[:top], np.nan), -np.inf), axis=1)
+    first = (below & (np.isnan(runs) | (runs >= roots[:, None]))).argmax(axis=1)
+    ends = np.where(first < top, first, top + np.searchsorted(deep, roots)).tolist()
+    # the largest of J_(k+1)..J_(n_max), NaN kept: where it is at most I_m,
+    # I_m's led terms are I_m 2^-(k+1), the floats of max(I_m, J_(k+1)) 2^-(k+1)
+    j_tail = np.maximum.accumulate(j_avg[:0:-1])[::-1]
     sums = []
     for m in range(top, -1, -1):
-        # C_m is nondecreasing, NaN sorting last: I_m replaces C_(m+1) on
-        # [m+1, end), where C_(m+1) < I_m (nowhere, if averages grow with depth)
-        x, end = i_avg[m], m + 1
-        if not x <= c[m + 1]:
-            end += int(np.searchsorted(c[m + 1 :], x))
-            led = slice(m + 1, end)
-            np.maximum(x, j_avg[m + 2 : end + 1], out=table[led])
-            table[led] *= weights[led]
-        c[m:end] = x
+        if ends[m] > m + 1:
+            led = slice(m + 1, ends[m])
+            if j_tail[m + 1] <= i_avg[m]:
+                np.multiply(weights[led], i_avg[m], out=table[led])
+            else:
+                np.maximum(i_avg[m], j_avg[m + 2 : ends[m] + 1], out=table[led])
+                table[led] *= weights[led]
         sums.append(np.add.reduce(table[m:]))
         # a NaN entry stays NaN for every shallower root (maximum keeps it, C
         # only grows, and inf * 0 stays NaN), so root I_0 has it too; only a

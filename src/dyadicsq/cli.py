@@ -185,7 +185,9 @@ def run(argv=None) -> int:
         emit_csv(args.out, args.fn(args), not args.no_timestamp)
     except TailNotCertifiedError as e:
         return _fail(EXIT_UNCERTIFIED, e)
-    except ValueError as e:  # NonIntegrableError, ExtensionHypothesisError, NonFinite{Candidate,Term}Error
+    # NonIntegrableError, ExtensionHypothesisError, NonFinite{Candidate,Term}Error,
+    # CoefficientOverflowError
+    except ValueError as e:
         return _fail(EXIT_PRECONDITION, e)
     except AssertionError as e:  # a failed internal check (closed-form verification): a bug
         return _fail(EXIT_INTERNAL, e)

@@ -15,11 +15,12 @@ Conventions:
   the shells J_n = [2^-n, 2^-(n-1)) as read-only extended-precision arrays
   (kept on the instance for the last n_max), the workhorse for all deep spine
   computations; without a closed form (:class:`ShellwiseDensity`) the I_k
-  averages are the suffix sums <g>_{I_k} = sum_{m>=1} 2^-m <g>_{J_{k+m}}, cut
-  after ``_SUFFIX_TAPS`` = 128 shells and summed in mass form, bit for bit the
-  doubling tree for double shell averages (``_suffix_fold``); the dropped tail
-  is about 2^-128 of the sum for bounded shell averages and at most about
-  2^-64 for averages growing like 2^(n/p), p > 2 (the direct-sum sigma*f);
+  averages are the suffix sums <g>_{I_k} = sum_{m>=1} 2^-m <g>_{J_{k+m}},
+  summed in mass form, from the deepest shell up, by one ``np.cumsum`` per
+  block (``_suffix_fold``); each I_k sums every shell its block reads, at
+  least ``_SUFFIX_TAPS`` = 128, so the dropped tail is about 2^-128 of the sum
+  for bounded shell averages and at most about 2^-64 for averages growing
+  like 2^(n/p), p > 2 (the direct-sum sigma*f);
 * ``spine_blocks(n_max)`` yields the same I_k averages in consecutive blocks.
   A :class:`ShellwiseDensity` folds them ``_FOLD_BLOCK`` = 8192 at a time from
   that block's own 8192 + 127 shells and holds one block at a time, so a
@@ -50,13 +51,16 @@ from .dyadic import DyadicInterval
 
 LN2 = math.log(2.0)
 
-#: Shells kept by the suffix fold (a power of two).  A shell average growing
+#: Fewest shells the suffix fold sums below an I_k.  A shell average growing
 #: like 2^(n/p) weighs 2^(-m(1 - 1/p)) at tap m, so 128 taps leave at most
 #: 2^-64 for every p > 2, below extended-precision resolution; bounded or
 #: decaying averages leave 2^-128.
 _SUFFIX_TAPS = 128
 
 _LD = np.longdouble
+
+#: The largest double below 1.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 #: Deepest shell J_n whose left end 2^-n is a nonzero double.
 _MAX_SHELL = 1074
@@ -149,28 +153,26 @@ def _fold_scalings(m: int):
 
 
 def _suffix_fold(shells, down, up):
-    """i[k] = sum_{m=1}^{T} 2^-m shells[k+m-1] for k = 0..len(shells) - T, one
+    """i[k] = sum_{j>=k} 2^-(j-k+1) shells[j] for k = 0..len(shells) - T, one
     block of at most _FOLD_BLOCK outputs, with (down, up) = _fold_scalings of
     at least that many.
 
-    With shells[n-1] = <g>_{J_n} this is <g>_{I_k} cut after T = _SUFFIX_TAPS
-    shells: the doubling tree i <- i[:-s] + 2^-s i[s:], s = 1, 2, .., T/2, from
-    i = shells/2, in mass form.  Shell j is scaled once by 2^-(j+1), each pass
-    adds in place, v[:L] += v[s:s+L], and output k is scaled back by 2^k: 9
-    extended-precision passes, not 15.  Scaling by a power of two commutes with
-    rounding while values stay normal, so each output is the tree's float, bit
-    for bit, for nonzero |shells| in [2^-8000, 2^8000] (every double), ±0, ±inf
-    and NaN.
+    With shells[n-1] = <g>_{J_n} this is <g>_{I_k} cut after the block's last
+    shell, at least T = _SUFFIX_TAPS taps below I_k, in mass form: shell j is
+    scaled by 2^-(j+1), one ``np.cumsum`` runs in place up the reversed view,
+    deepest shell first, and output k is scaled back by 2^k: 3
+    extended-precision passes.  Scaling by a power of two is exact while
+    values stay normal, for nonzero |shells| in [2^-8000, 2^8000] (every
+    double), so output k is the running sum of its taps rounded once per
+    tap, within 2^-64 times the sum of its |partial sums|; an output whose
+    taps hold a NaN, or both +inf and -inf, is NaN.
     """
-    width = shells.size
-    m = width - _SUFFIX_TAPS + 1
-    v = shells * down[:width]
-    s = 1
-    while s < _SUFFIX_TAPS:
-        width -= s
-        v[:width] += v[s : s + width]
-        s *= 2
-    return v[:m] * up[:m]
+    m = shells.size - _SUFFIX_TAPS + 1
+    v = shells * down[: shells.size]
+    np.cumsum(v[::-1], out=v[::-1])
+    v = v[:m]
+    v *= up[:m]
+    return v
 
 
 class ShellwiseDensity(Density):
@@ -180,7 +182,9 @@ class ShellwiseDensity(Density):
     over J_{n_lo}..J_{n_hi} in a fresh extended-precision array the caller may
     write to, each shell's value independent of the range.  Spine averages are
     the suffix fold of the shell averages, block by block (``spine_blocks``
-    holds one block at a time, ``spine_averages`` joins them), and the masses
+    holds one block at a time, ``spine_averages`` joins them; an I_k sums the
+    shells down to its block's last, so the last block's floats depend on
+    n_max), and the masses
     of [0, 2^-n) suffix sums of the shell masses.  For t in J_n, ``primitive(t)``
     is the mass below 2^-n plus ``_partial``; those masses are cached on the
     instance, so each shell is summed once however many points it holds.
@@ -196,9 +200,10 @@ class ShellwiseDensity(Density):
     def _fold_blocks(self, n_max: int):
         """(b, I_k averages, J_(k+1) averages) for the k in [b, b + _FOLD_BLOCK)
         up to n_max, block by block: the suffix fold of the block's own
-        _FOLD_BLOCK + 127 shells, fresh per block.  A shell's value and an
-        output of the fold depend on neither the block nor n_max, so each
-        block holds the floats of one fold over all the shells."""
+        m + 127 shells (m outputs), fresh per block.  A shell's value does not
+        depend on the block, and output k sums the shells from J_(k+1) to the
+        block's last, so ``spine_blocks`` and ``spine_averages`` give the same
+        floats for one n_max."""
         if n_max > self._MAX_SPINE:
             raise NonIntegrableError(
                 f"{type(self).__name__}: spine depth limited to {self._MAX_SPINE}")
@@ -507,7 +512,9 @@ class PiecewiseDyadic(ShellwiseDensity):
         out = np.where(x == 0.0, 1.0, 0.0)
         for k, g, mirrored, at in self._blocks(n):
             y = np.ldexp(x[at], k)
-            out[at] = g.value(2.0 - y if mirrored else y - 1.0)
+            # a mirrored block's u = 1 (the shell's left end) lies outside its
+            # support (0, 1): take its value at the double below, its limit
+            out[at] = g.value(np.minimum(2.0 - y, _BELOW_ONE) if mirrored else y - 1.0)
         return out[()]
 
     def _partial(self, n, t):

@@ -176,6 +176,30 @@ def direct_sum_coefficient(k: int, p: float) -> float:
     return k ** (-0.5 - 1.0 / p) * 2.0 ** (k / p)
 
 
+class CoefficientOverflowError(ValueError):
+    """A block coefficient on a deep shell is past the largest double."""
+
+
+def _fnorm_p_block(k: int, p: float) -> Power:
+    """The |f|^p sigma block c_k^p u^-beta_k of the direct sum on shell J_k.
+
+    c_k^p grows like 2^k k^(-p/2-1), so on deep shells it, or the block's
+    mass c_k^p / (1 - beta_k) on (0, 1), is past the largest double (from
+    J_1037 at p = 2.5), though the mass on J_k is k^(-p/2): raised here, not
+    left to turn into inf.
+    """
+    beta = _beta_k(k)
+    try:
+        c_p = direct_sum_coefficient(k, p) ** p
+    except OverflowError:
+        c_p = math.inf
+    if not math.isfinite(c_p / (1.0 - beta)):
+        raise CoefficientOverflowError(
+            f"direct_sum |f|^p sigma: the block mass c_{k}^p / (1 - beta_{k}) on shell "
+            f"J_{k} overflows a double (p = {p})")
+    return Power(c_p, -beta)
+
+
 def direct_sum_family(p: float) -> FamilyInstance:
     """Glue rescaled one-singularity blocks (beta_k = 1 - 1/k) onto the shells.
 
@@ -203,7 +227,7 @@ def direct_sum_family(p: float) -> FamilyInstance:
         sigma_f=PiecewiseDyadic(odd(lambda k: SignModulate(Constant(direct_sum_coefficient(k, p)))),
                                 "direct_sum sigma*f"),
         fnorm_p_density=PiecewiseDyadic(
-            odd(lambda k: Power(direct_sum_coefficient(k, p) ** p, -_beta_k(k))),
+            odd(lambda k: _fnorm_p_block(k, p)),
             "direct_sum |f|^p sigma"),
         predicted={"block_fnorm_p": lambda k: float(k) ** (-p / 2.0)},
     )

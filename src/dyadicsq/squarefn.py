@@ -171,16 +171,19 @@ def weighted_snorm(fsigma: Density, w: Density, p: float, n_max: int,
 
 def prefix_sums_at(term_blocks, ks, dtype) -> np.ndarray:
     """S[k] = sum_{j<k} t_j at each k of ks, for the terms t_0, t_1, .. given
-    in consecutive blocks, holding one block at a time.  Each block is summed
-    by np.cumsum from the carried S at its start, in order, so every S[k] is
-    the float that one np.cumsum over all the terms gives."""
+    in consecutive fresh blocks, holding one block at a time.  Each block is
+    summed in place by np.cumsum, the carried S at its start added to its
+    first term, so every S[k] is the float that one np.cumsum over all the
+    terms gives."""
     out = np.zeros(ks.size, dtype=dtype)
     lo, carry = 0, dtype(0)
     for t in term_blocks:
-        s = np.cumsum(np.concatenate(([carry], t)))  # S[lo], .., S[lo + t.size]
-        at = (ks >= lo) & (ks <= lo + t.size)
-        out[at] = s[ks[at] - lo]
-        lo, carry = lo + t.size, s[-1]
+        if t.size:
+            t[0] += carry
+            np.cumsum(t, out=t)  # S[lo + 1], .., S[lo + t.size]
+            at = (ks > lo) & (ks <= lo + t.size)
+            out[at] = t[ks[at] - lo - 1]
+            lo, carry = lo + t.size, t[-1]
     if ks.max() > lo:
         raise ValueError(f"k = {ks.max()} beyond the {lo} terms given")
     return out
@@ -201,12 +204,18 @@ def partial_mass_profile(g: Density, w: Density, p: float, ks) -> np.ndarray:
         raise ValueError("k must be >= 0")
 
     def d_left_squares():
-        prev = np.empty(0, dtype=_LD)  # the last average of the block before
+        prev = None  # the last average of the block before
         for block in g.spine_blocks(int(ks.max())):
-            i_avg = np.concatenate((prev, block))
-            d = i_avg[1:] - i_avg[:-1]
-            yield d * d
-            prev = block[-1:]
+            # the differences into one buffer, the first against prev, squared in place
+            d = np.empty(block.size, dtype=_LD)
+            np.subtract(block[1:], block[:-1], out=d[1:])
+            if prev is None:
+                d = d[1:]
+            else:
+                d[0] = block[0] - prev
+            d *= d
+            yield d
+            prev = block[-1]
 
     left_squares = prefix_sums_at(d_left_squares(), ks, _LD)
     out = np.empty(ks.size)

@@ -510,20 +510,10 @@ def test_primitive_at_powers_of_two_matches_the_tail_sum(name):
 
 
 # ---------------------------------------------------------------------------
-# the mass-form fold against the doubling tree it replaced, bit for bit
+# the mass-form fold against the exact suffix sums of the taps it reads
 
 _BLOCK = 8192  # density._FOLD_BLOCK
-
-
-def _doubling_fold(shells):
-    """i <- i[:-s] + 2^-s i[s:], s = 1, 2, .., 64, from i = shells/2: the fold
-    as it was before its mass form."""
-    i = shells / 2
-    s = 1
-    while s < _TAPS:
-        i = i[:-s] + i[s:] * np.longdouble(0.5) ** s
-        s *= 2
-    return i
+_U = 2 ** 64  # 1/u, the unit roundoff of the 64-bit extended significand
 
 
 def _same_floats(a, b):
@@ -561,29 +551,96 @@ class _GivenShells(ShellwiseDensity):
         return self.shells[n_lo - 1 : n_hi]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(_TAPS, 3 * _BLOCK + 2 * _TAPS), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["positive", "alternating", "random"]), st.sampled_from([0.0, 1e-3, 0.3]))
-@example(_TAPS, 0, "alternating", 0.3)  # one output
-@example(_BLOCK + _TAPS - 1, 1, "random", 1e-3)  # one whole block
+def _fold_blocks_read(n_max):
+    """(first output, outputs, end of the shells read) of each fold block:
+    output k reads the shells k..end-1 (0-based) of its block."""
+    for b in range(0, n_max + 1, _BLOCK):
+        m = min(_BLOCK, n_max + 1 - b)
+        yield b, m, b + m + _TAPS - 1
+
+
+def _exact_fold_check(got, shells, b, ks, end):
+    """Each got[k], k in ks (finite taps shells[k:end] only), against the exact
+    sum of its taps 2^-(j-k+1) shells[j], j = k..end-1: within u = 2^-64 times
+    the sum of the |partial sums| the fold forms, deepest tap first.
+
+    The taps are integers at the scale 2^(1138 + end - b) (each finite shell
+    is an integer multiple of 2^-1137), so the suffix sums are exact; rounding
+    each addition at most u of its result bounds the error to first order,
+    and the factor 1 + 2^-40 covers the second-order terms."""
+    ks = set(ks)
+    if not ks:
+        return
+    shift = 1138 + end - b
+    suffix = abs_sum = 0
+    want = {}
+    for j in range(end - 1, min(ks) - 1, -1):
+        num, den = shells[j].as_integer_ratio()
+        suffix += num * (1 << (shift - (j - b + 1))) // den  # 2^-(j+1-b) shells[j], exact
+        abs_sum += abs(suffix)
+        if j in ks:
+            want[j] = (suffix, abs_sum)
+    for k, (exact, bound) in want.items():
+        num, den = got[k].as_integer_ratio()
+        # got[k] = 2^(k-b) * (the partial sum from k), both sides at 2^shift
+        err = abs(num * (1 << shift) - exact * den * (1 << (k - b)))
+        assert err * _U * (1 << 40) <= bound * den * (1 << (k - b)) * ((1 << 40) + 1), k
+
+
+_FOLD_SIZES = (st.integers(_TAPS, 3 * _BLOCK + 2 * _TAPS), st.integers(0, 2 ** 32 - 1),
+               st.sampled_from(["positive", "alternating", "random"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_FOLD_SIZES, st.sampled_from([0.0, 1e-3, 0.3]))
+@example(_TAPS, 0, "alternating", 0.0)  # one output
+@example(_BLOCK + _TAPS - 1, 1, "random", 0.0)  # one whole block
 @example(_BLOCK + _TAPS, 2, "alternating", 0.0)  # and one output in the next
 @example(3 * _BLOCK + _TAPS + 1, 3, "positive", 1e-3)
-def test_the_mass_form_fold_is_the_doubling_tree_bit_for_bit(size, seed, signs, specials):
+def test_the_mass_form_fold_is_the_exact_suffix_sum_within_its_rounding_bound(size, seed, signs,
+                                                                               specials):
+    # every output whose taps are all finite, in every block
     shells = _fold_input(size, seed, signs, specials)
     kept = shells.copy()
     with np.errstate(invalid="ignore"):  # inf - inf
         got, _ = _GivenShells(shells).spine_averages(size - _TAPS)
-        want = _doubling_fold(shells)
-    assert got.size == size - _TAPS + 1 and _same_floats(got, want)
-    assert _same_floats(shells, kept)
+    assert got.size == size - _TAPS + 1 and _same_floats(shells, kept)
+    finite = np.isfinite(shells)
+    for b, m, end in _fold_blocks_read(size - _TAPS):
+        bad = np.flatnonzero(~finite[b:end])
+        first = b if bad.size == 0 else b + int(bad[-1]) + 1  # taps past the last special
+        _exact_fold_check(got, shells, b, range(first, b + m), end)
 
 
-def test_a_deep_signed_log_power_spine_is_the_doubling_tree_bit_for_bit():
+@settings(max_examples=30, deadline=None)
+@given(*_FOLD_SIZES, st.sampled_from([1e-3, 0.03, 0.3]))
+@example(_BLOCK + _TAPS, 2, "alternating", 0.3)
+def test_a_fold_output_over_a_nan_or_both_infinities_is_nan(size, seed, signs, specials):
+    # a NaN tap is never swallowed; an infinite tap keeps its sign unless the
+    # other infinity is read too; finite taps never overflow the scaled sums
+    shells = _fold_input(size, seed, signs, specials)
+    with np.errstate(invalid="ignore"):
+        got, _ = _GivenShells(shells).spine_averages(size - _TAPS)
+    for b, m, end in _fold_blocks_read(size - _TAPS):
+        # the specials among taps k..end-1, by suffix counts
+        nan, pos, neg = (np.cumsum(f(shells[b:end])[::-1])[::-1][:m] > 0
+                         for f in (np.isnan, np.isposinf, np.isneginf))
+        out = got[b : b + m]
+        assert np.array_equal(np.isnan(out), nan | (pos & neg))
+        assert np.array_equal(np.isposinf(out), pos & ~nan & ~neg)
+        assert np.array_equal(np.isneginf(out), neg & ~nan & ~pos)
+
+
+def test_a_deep_signed_log_power_spine_is_the_exact_suffix_sum_at_sampled_outputs():
+    # the first and last output, the last of the first block, and 40 more
+    n_max = 10 ** 6
     g = SignModulate(LogPowerPlain(0.4))
-    i_avg, j_avg = g.spine_averages(10 ** 6)
-    shells = _ref_shell_avgs(g, 10 ** 6 + _TAPS)
-    assert _same_floats(i_avg, _doubling_fold(shells))
-    assert _same_floats(j_avg[1:], shells[: 10 ** 6])
+    i_avg, j_avg = g.spine_averages(n_max)
+    shells = _ref_shell_avgs(g, n_max + _TAPS)
+    assert _same_floats(j_avg[1:], shells[:n_max])
+    sampled = {0, _BLOCK - 1, n_max, *np.random.default_rng(16).integers(0, n_max + 1, 40).tolist()}
+    for b, m, end in _fold_blocks_read(n_max):
+        _exact_fold_check(i_avg, shells, b, [k for k in sampled if b <= k < b + m], end)
 
 
 @pytest.mark.parametrize("inner", [Constant(2.0), Power(1.0, -0.5), LogPowerOverX(1.0, 1.2),

@@ -6,6 +6,7 @@ import pytest
 from dyadicsq.density import LN2, Power, SignModulate, Constant
 from dyadicsq.dyadic import spine
 from dyadicsq.families import (
+    CoefficientOverflowError,
     ExtensionHypothesisError,
     FamilyInstance,
     alternating_family,
@@ -116,6 +117,32 @@ def test_direct_sum_coefficient_and_blocks():
             k ** (-0.5 - 1.0 / p) * 2.0 ** (k / p), rel=1e-14)
     for k in (2, 4, 10):
         assert inst.fnorm_p_density.piece_mass(k) == 0.0
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_direct_sum_weights_at_the_left_end_of_a_mirrored_shell(p):
+    # 2^-k, k even, is where a mirrored block's u reaches 1, just outside its
+    # support: the weights take the block's limit there, not 0
+    inst = direct_sum_family(p)
+    for g in (inst.w, inst.sigma):
+        for k in range(2, 21, 2):
+            x = 2.0 ** -k
+            want = float(g.value(np.nextafter(x, 1.0)))
+            assert want > 0.0 and float(g.value(x)) == pytest.approx(want, rel=1e-15), k
+            assert g.value(np.array([x]))[0] == g.value(x)
+
+
+@pytest.mark.parametrize("p, shell", [(2.5, 1037), (3.0, 1041), (4.0, 1045)])
+def test_direct_sum_fnorm_density_past_the_largest_double_names_its_shell(p, shell):
+    # c_k^p / (1 - beta_k) overflows on deep odd shells though the shell
+    # mass k^(-p/2) does not: a ValueError (CLI exit 3) naming the shell
+    g = direct_sum_family(p).fnorm_p_density
+    assert g.piece_mass(shell - 2) == pytest.approx((shell - 2) ** (-p / 2.0), rel=1e-10)
+    assert issubclass(CoefficientOverflowError, ValueError)
+    with pytest.raises(CoefficientOverflowError, match=rf"shell J_{shell} overflows"):
+        g.primitive(2.0 ** -1060)
+    with pytest.raises(CoefficientOverflowError, match=rf"shell J_{shell} "):
+        g.value(2.0 ** -shell * 1.5)
 
 
 def test_direct_sum_weight_shell_masses():

@@ -265,6 +265,42 @@ def test_the_streamed_partial_masses_are_the_eager_ones(k_max, p, data):
     assert partial_mass_profile(g, w, p, ks[::-1]).tolist() == want[::-1]
 
 
+class _BlockedSpine(Density):
+    """Given spine averages, streamed in given block sizes."""
+
+    def __init__(self, i_avg, sizes):
+        self.i_avg, self.sizes = i_avg, sizes
+
+    def spine_averages(self, n_max):
+        return self.i_avg, np.full(self.i_avg.size, np.nan, dtype=np.longdouble)
+
+    def spine_blocks(self, n_max):
+        lo = 0
+        for size in self.sizes:
+            yield self.i_avg[lo : lo + size]
+            lo += size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf,
+                                                                0.0, -0.0, 1e300])), max_size=4))
+def test_the_streamed_left_squares_keep_every_special_of_the_eager_ones(sizes, seed, holes):
+    # a NaN or an infinity at a block seam, or in the first average, reaches
+    # the same left squares as in one np.cumsum over the whole spine
+    assume(sum(sizes) >= 2)  # a profile needs n_max >= 1
+    i_avg = np.random.default_rng(seed).normal(0.0, 1.0, sum(sizes)).astype(np.longdouble)
+    for where, value in holes:
+        i_avg[round(where * (i_avg.size - 1))] = value
+    g = _BlockedSpine(i_avg, sizes)
+    k_max = i_avg.size - 1
+    with np.errstate(all="ignore"):
+        left_squares = spine_profile(g, k_max).left_squares
+        want = np.array([float(left_squares[k] ** 2.0) * 2.0 ** -k for k in range(k_max + 1)])
+        got = partial_mass_profile(g, Constant(1.0), 4.0, np.arange(k_max + 1))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # spine profiles: d_right and s are computed on first read
 
