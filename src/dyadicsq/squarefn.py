@@ -169,14 +169,14 @@ def weighted_snorm(fsigma: Density, w: Density, p: float, n_max: int,
     return math.exp(log_total / p)
 
 
-def prefix_sums_at(term_blocks, ks, dtype) -> np.ndarray:
-    """S[k] = sum_{j<k} t_j at each k of ks, for the terms t_0, t_1, .. given
-    in consecutive fresh blocks, holding one block at a time.  Each block is
-    summed in place by np.cumsum, the carried S at its start added to its
-    first term, so every S[k] is the float that one np.cumsum over all the
-    terms gives."""
-    out = np.zeros(ks.size, dtype=dtype)
-    lo, carry = 0, dtype(0)
+def prefix_sums_at(term_blocks, ks) -> np.ndarray:
+    """S[k] = sum_{j<k} t_j at each k of ks, in extended precision, for the
+    terms t_0, t_1, .. given in consecutive fresh blocks, holding one block at
+    a time.  Each block is summed in place by np.cumsum, the carried S at its
+    start added to its first term, so every S[k] is the float that one
+    np.cumsum over all the terms gives."""
+    out = np.zeros(ks.size, dtype=_LD)
+    lo, carry = 0, _LD(0)
     for t in term_blocks:
         if t.size:
             t[0] += carry
@@ -217,7 +217,7 @@ def partial_mass_profile(g: Density, w: Density, p: float, ks) -> np.ndarray:
             yield d
             prev = block[-1]
 
-    left_squares = prefix_sums_at(d_left_squares(), ks, _LD)
+    left_squares = prefix_sums_at(d_left_squares(), ks)
     out = np.empty(ks.size)
     for i, k in enumerate(ks):
         out[i] = float(left_squares[i] ** (p / 2.0)) * w.spine_mass(int(k))

@@ -413,7 +413,9 @@ _TAPS = 128
 
 
 def _ref_shell_avgs(g, n_hi):
-    """Extended-precision averages over J_1..J_{n_hi}, shell by shell."""
+    """Averages over J_1..J_{n_hi}, shell by shell, in the dtype that
+    ``_shell_avgs`` hands out: double for LogPowerPlain (and its
+    SignModulate), extended precision for the rest."""
     n = np.arange(1, n_hi + 1)
     if isinstance(g, PiecewiseDyadic):
         return np.ldexp(np.array([g.piece_mass(k) for k in n.tolist()], dtype=np.longdouble), n)
@@ -636,7 +638,7 @@ def test_a_deep_signed_log_power_spine_is_the_exact_suffix_sum_at_sampled_output
     n_max = 10 ** 6
     g = SignModulate(LogPowerPlain(0.4))
     i_avg, j_avg = g.spine_averages(n_max)
-    shells = _ref_shell_avgs(g, n_max + _TAPS)
+    shells = _ref_shell_avgs(g, n_max + _TAPS).astype(np.longdouble)  # double shells, exactly
     assert _same_floats(j_avg[1:], shells[:n_max])
     sampled = {0, _BLOCK - 1, n_max, *np.random.default_rng(16).integers(0, n_max + 1, 40).tolist()}
     for b, m, end in _fold_blocks_read(n_max):

@@ -8,6 +8,7 @@ from dyadicsq.density import LN2, Constant, Power, SignModulate
 from dyadicsq.experiments import (
     FAMILIES,
     _exp_series,
+    _power_sum,
     _zeta,
     default_beta_grid,
     default_r,
@@ -104,6 +105,33 @@ def test_zeta_is_the_multiprecision_zeta():
     with mpmath.workdps(40):
         for z in np.concatenate([np.linspace(2.0, 40.0, 381), [2.05, 2.25, 3.05, 3.75, 4.5]]):
             assert _zeta(float(z)) == pytest.approx(float(mpmath.zeta(float(z))), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("a", [0.6, 0.8, 0.99, 1.0 - 1e-6])
+def test_the_power_sum_is_the_multiprecision_sum(a):
+    # sum_{n=2}^m n^-a = zeta(a, 2) - zeta(a, m + 1), both sides of the switch
+    # from the running sum to Euler-Maclaurin at m = 20
+    mpmath = pytest.importorskip("mpmath")
+    ms = [2, 19, 20, 21, 10 ** 3, 10 ** 6 + 1]
+    got = _power_sum(a, np.array(ms))
+    with mpmath.workdps(40):
+        for m, g in zip(ms, got.tolist()):
+            want = float(mpmath.zeta(a, 2) - mpmath.zeta(a, m + 1))
+            assert g == pytest.approx(want, rel=1e-15, abs=0), m
+
+
+def test_the_lai_treil_paper_bound_is_the_multiprecision_bound():
+    # C1 C2' (sum_{n=2}^{k+1} n^-2r)^(p/2-1) at k = 10^6, the last row
+    mpmath = pytest.importorskip("mpmath")
+    from dyadicsq.families import lai_treil_family
+
+    p, r, k = 3.0, 0.4, 10 ** 6
+    got = divergence_experiment("lai_treil", p, r, k_max=k).columns["paper_bound"][-1]
+    pred = lai_treil_family(p, r).predicted
+    with mpmath.workdps(40):
+        zsum = mpmath.zeta(2 * r, 2) - mpmath.zeta(2 * r, k + 2)
+        want = float(pred["partial_mass_c1"] * pred["partial_mass_c2"] * zsum ** (p / 2 - 1))
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("s", [1.05, 1.25, 1.5, 2.0, 2.75, 3.5])
