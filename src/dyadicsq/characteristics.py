@@ -23,6 +23,12 @@ _LD = np.longdouble
 #: root's candidate is the same up to the cut at n_max.
 RADIAL_ROOT_MAX = 24
 
+#: The radial weights 2^-(k+1), k = 0, 1, ..., that are not 0 in extended
+#: precision (the bits of np.ldexp, subnormals included): 16445 of them with
+#: x87 extended precision, 1074 where it is double.
+_WEIGHTS = np.full(2 - np.finfo(_LD).minexp + np.finfo(_LD).nmant, _LD(0.5)).cumprod()
+_WEIGHTS = _WEIGHTS[: np.count_nonzero(_WEIGHTS)]
+
 
 class NonFiniteCandidateError(ValueError):
     """A candidate of a supremum came out NaN (an overflowed or 0/0 average)."""
@@ -92,11 +98,19 @@ def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tr
     radial: roots restricted to the spine I_m, m <= RADIAL_ROOT_MAX; on each
     shell J_n the maximal function is bounded below by the best ancestor
     average among the spine intervals I_j (m <= j < n) and the shell itself,
-    which is exact for nonincreasing shell-wise monotone densities.  One
-    weighted table of these shell values serves every root: built for the
-    deepest root, it changes for root m only on the prefix where I_m leads,
-    so building it costs O(n_max + the sum of the led prefixes), and each
-    root sums its slice.
+    which is exact for nonincreasing shell-wise monotone densities.  Only
+    the deepest root's weighted shell values are tabled, with their suffix
+    sums from one reversed cumsum.  A shallower root I_m differs from the
+    root below it only on the prefix where I_m leads, and past that prefix
+    it adds what a deeper root adds from there on, a sum already taken; on
+    the prefix its terms are I_m 2^-(k+1) wherever no later shell average
+    tops I_m, which sum in closed form to I_m (2^-a - 2^-b) over [a, b), and
+    only the terms before that are summed one by one.  So one call does
+    O(n_max + RADIAL_ROOT_MAX) extended-precision work on the monotone
+    spines, plus the length of those explicit stretches on others.  The
+    table stops at the first weight 2^-(k+1) that is 0 in extended
+    precision: past it the term of a finite shell value is exactly 0 and of
+    any other NaN, so one finiteness check stands for those shells.
     """
     if mode == "full_tree":
         if depth is None or depth > FULL_TREE_MAX_DEPTH:
@@ -137,49 +151,73 @@ def _ainfty_radial(sigma: Density, n_max: int) -> CharacteristicEstimate:
 
 def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
     """The radial candidate of each root I_m, m = 0..top, as doubles."""
-    # table[k] = max(C_m[k], J_{k+1}) 2^-(k+1) on the shell J_{k+1}, with
-    # C_m[k] = max I_{m..k} the best spine average from root m down to I_k.
-    # Root m's candidate sums table[m:], the terms of the weights 2^(m-n)
-    # times 2^-m (exactly, while no term is subnormal), in the same order.
-    weights = np.full(n_max, _LD(0.5)).cumprod()  # 2^-(k+1), the bits of np.ldexp
-    # C_top on [top, n_max), NaN sorting last; below top, I_k stands until
-    # root k takes over
+    # Root m sums t_m[k] = max(C_m[k], J_(k+1)) 2^-(k+1) over k in [m, n_max)
+    # and scales the sum by 2^m, with C_m[k] = max I_(m..k) the best spine
+    # average from root m down to I_k.  C_m = max(I_m, C_(m+1)) is I_m on the
+    # prefix [m+1, ends[m]) that I_m leads, where C_(m+1) < I_m, and C_(m+1)
+    # from ends[m] on.  The led prefixes nest, so from e = ends[m] on root m
+    # has the terms of root e, or of root top if e > top: its sum is t_m[m],
+    # its led terms and the sum of that root from e on.  Only root top's
+    # terms are tabled, and summed once: O(n_max + top) extended-precision
+    # work, plus the led terms that are summed one by one (below).
+    cut = min(n_max, _WEIGHTS.size)
+    weights = _WEIGHTS[:cut]
+    # C_top on [top, n_max), NaN sorting last
     deep = np.maximum.accumulate(i_avg[top:n_max])
-    table = np.empty(n_max, dtype=_LD)
-    np.maximum(i_avg[:top], j_avg[1 : top + 1], out=table[:top])
-    np.maximum(deep, j_avg[top + 1 :], out=table[top:])
-    table *= weights
-    # I_m replaces C_(m+1) on [m+1, ends[m]), where C_(m+1) < I_m (nowhere, if
-    # averages grow with depth; root top never leads).  C_(m+1) is
-    # nondecreasing, NaN sorting last: row m of runs, the running maximum of
-    # I_(m+1)..I_(top-1) and then a NaN (the column reached when none of them
-    # passes I_m), then that maximum against C_top, which passes I_m where
-    # C_top does once those roots stay below it
+    # past the cut the weights are 0: a finite term is exactly 0 and any
+    # other NaN, so root top's sum from e on is NaN while e <= the last
+    # shell whose term is not finite
+    bad = np.flatnonzero(~np.isfinite(np.maximum(deep[cut - top :], j_avg[cut + 1 : n_max + 1])))
+    last_bad = cut + int(bad[-1]) if bad.size else -1
+    if bad.size:  # then every e < cut is <= last_bad
+        suffix = None
+    else:
+        # suffix[k - top]: root top's sum over [k, cut), deepest term first
+        suffix = np.maximum(deep[: cut - top], j_avg[top + 1 : cut + 1])
+        suffix *= weights[top:]
+        np.cumsum(suffix[::-1], out=suffix[::-1])
+
+    def from_deep(e):
+        """Root top's sum over [e, n_max), e >= top."""
+        if e <= last_bad:
+            return _LD(np.nan)
+        return suffix[e - top] if e < cut else _LD(0)
+
+    # C_(m+1) is nondecreasing, NaN sorting last: row m of runs, the running
+    # maximum of I_(m+1)..I_(top-1) and then a NaN (the column reached when
+    # none of them passes I_m), then that maximum against C_top, which passes
+    # I_m where C_top does once those roots stay below it.  Root top leads
+    # nowhere, nor does any root if averages grow with depth
     roots = i_avg[: top + 1]
     cols = np.arange(top + 1)
     below = cols > cols[:, None]
     runs = np.maximum.accumulate(np.where(below, np.append(i_avg[:top], np.nan), -np.inf), axis=1)
     first = (below & (np.isnan(runs) | (runs >= roots[:, None]))).argmax(axis=1)
-    ends = np.where(first < top, first, top + np.searchsorted(deep, roots)).tolist()
-    # the largest of J_(k+1)..J_(n_max), NaN kept: where it is at most I_m,
-    # I_m's led terms are I_m 2^-(k+1), the floats of max(I_m, J_(k+1)) 2^-(k+1)
-    j_tail = np.maximum.accumulate(j_avg[:0:-1])[::-1]
-    sums = []
-    for m in range(top, -1, -1):
-        if ends[m] > m + 1:
-            led = slice(m + 1, ends[m])
-            if j_tail[m + 1] <= i_avg[m]:
-                np.multiply(weights[led], i_avg[m], out=table[led])
-            else:
-                np.maximum(i_avg[m], j_avg[m + 2 : ends[m] + 1], out=table[led])
-                table[led] *= weights[led]
-        sums.append(np.add.reduce(table[m:]))
-        # a NaN entry stays NaN for every shallower root (maximum keeps it, C
-        # only grows, and inf * 0 stays NaN), so root I_0 has it too; only a
-        # -inf average, lifted by a shallower one, could take it out again
-        if math.isnan(sums[-1]) and not (np.isneginf(i_avg).any() or np.isneginf(j_avg).any()):
-            raise NonFiniteCandidateError(f"NaN candidate at root I_0, n_max {n_max}")
-    return (np.ldexp(np.array(sums[::-1]), np.arange(top + 1)) / i_avg[: top + 1]).astype(float)
+    ends = np.where(first < top, first, top + np.searchsorted(deep, roots))[:top]
+    # t_m[m] plus root m's led terms
+    own = np.maximum(roots[:top], j_avg[1 : top + 1]) * weights[:top]
+    if (leads := ends > cols[:top] + 1).any():
+        # J_(k+1)..J_(n_max) are at most a finite I_m from k = split[m] on,
+        # where root m's led terms are I_m 2^-(k+1): their sum up to end, the
+        # weights past the cut being 0, is I_m (2^-split - 2^-end).  Before
+        # split they are summed one by one
+        acc = np.maximum.accumulate(j_avg[:0:-1])  # max J_(n_max-t)..J_(n_max), NaN kept
+        after = np.maximum(n_max - np.searchsorted(acc, roots[:top], side="right"), cols[:top] + 1)
+        split = np.minimum(np.where(np.isfinite(roots[:top]), after, ends), ends)
+        end = np.minimum(ends, cut)
+        closed = leads & (split < end)
+        own[closed] += roots[:top][closed] * (weights[split[closed] - 1] - weights[end[closed] - 1])
+        for m in np.flatnonzero(leads & (split > cols[:top] + 1)).tolist():
+            x = int(split[m])
+            stop = min(x, cut)
+            terms = np.maximum(i_avg[m], j_avg[m + 2 : stop + 1])
+            own[m] += np.add.reduce(terms * weights[m + 1 : stop])
+            if x > cut and not np.isfinite(np.maximum(i_avg[m], j_avg[cut + 1 : x + 1])).all():
+                own[m] = np.nan
+    sums = [from_deep(top)]  # root top - i at i
+    for m, e in zip(range(top - 1, -1, -1), ends[::-1].tolist()):
+        sums.append(own[m] + (sums[top - e] if e <= top else from_deep(e)))
+    return (np.ldexp(np.array(sums[::-1]), cols) / roots).astype(float)
 
 
 def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list[CharacteristicEstimate]:

@@ -279,8 +279,8 @@ class Power(Density):
 
     Its spine averages c/(gamma+1) 2^(-gamma k) are within 3 extended-precision
     ulps (about 2e-19 relative) of 40-digit mpmath, for normal values below
-    n_max = 2^22; the J averages carry the rounding of 2^(gamma+1) - 1 on top,
-    which cancels near gamma = -1.
+    n_max = 2^22; the J averages' 2^(gamma+1) - 1 is expm1((gamma+1) ln 2),
+    which does not cancel near gamma = -1.
     """
 
     c: float
@@ -329,7 +329,7 @@ class Power(Density):
             rows = int(np.count_nonzero(hi != np.inf))
             scale = np.multiply.outer(hi[:rows], np.exp2(-g * steps))
             for avg, coef in ((i_avg, _LD(self.c) / (g + 1)),
-                              (j_avg, _LD(self.c) * (np.exp2(g + 1) - 1) / (g + 1))):
+                              (j_avg, _LD(self.c) * np.expm1((g + 1) * np.log(_LD(2))) / (g + 1))):
                 np.multiply(coef, scale, out=avg[:rows])
                 avg[rows:] = coef * _LD(np.inf)
         i_avg, j_avg = (a.reshape(-1)[: n_max + 1] for a in (i_avg, j_avg))

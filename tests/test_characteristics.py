@@ -2,6 +2,7 @@ import collections
 import functools
 import math
 import unittest.mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -565,13 +566,44 @@ def test_extension_experiment_makes_no_scalar_integrate_call(monkeypatch):
 
 def _per_root_candidates(i_avg, j_avg, n_max, root_max):
     """(m, candidate of root I_m) with the weights 2^(m-n) raised afresh for
-    every root: the reference the shared weight table must reproduce bit for bit."""
+    every root and every root's terms summed on their own: the reference the
+    suffix pass must reproduce within rounding, and raise where it raises."""
     for m in range(min(root_max, n_max - 2) + 1):
         cm = np.maximum.accumulate(i_avg[m:n_max])
         mvals = np.maximum(cm, j_avg[m + 1 : n_max + 1])
         n = np.arange(m + 1, n_max + 1)
         weights = np.exp2(np.longdouble(m) - np.asarray(n, dtype=np.longdouble))
         yield m, float(np.sum(mvals * weights) / i_avg[m])
+
+
+def _rounding(n_max, top):
+    """Relative distance of a radial candidate, as a double, from the exact one.
+
+    Both the reference and the suffix pass sum nonnegative terms
+    max(C, J) 2^-(k+1) in extended precision (unit roundoff u = 2^-64), the
+    products by a power of two being exact.  Every term passes through at
+    most n_max + top + 2 roundings on its way to the sum divided by I_m: in
+    the reference at most n_max - 1 additions and the division; in the
+    suffix pass at most n_max - top - 1 additions of the reversed cumsum (or
+    of a stretch summed one by one), two to join a root's own term, led
+    terms and the sum it takes over, one per root up the chain (at most
+    top), two for a closed-form led sum and one for the division.  A sum of
+    nonnegative terms so rounded is within (n_max + top + 2) u / (1 - (n_max
+    + top + 2) u) of the exact one, and the rounding to double adds 2^-53:
+    this returns that bound, with 2^-40 of slack for the quadratic terms.
+    Terms that underflow, or lie past the first weight that is 0, are
+    dropped by either side; on the spines tested here (averages within 2^60
+    of each other, or powers x^gamma with |gamma| <= 1/2) they are less than
+    2^-9000 of the sum, which the 2^-1000 added covers.
+    """
+    return (n_max + top + 2) * 2.0 ** -64 * (1 + 2.0 ** -40) + 2.0 ** -53 + 2.0 ** -1000
+
+
+def _assert_within_rounding(got, want, n_max, top):
+    """got and want each within eps = _rounding(n_max, top) of the exact x,
+    so |got - want| <= 2 eps |x| <= 2 eps / (1 - eps) |want|."""
+    eps = _rounding(n_max, top)
+    assert got == want or abs(got - want) <= 2 * eps / (1 - eps) * abs(want), (got, want)
 
 
 def _root_max(root_max):
@@ -612,7 +644,7 @@ def test_radial_ainfty_is_the_per_root_reference(sigma, n_max, root_max):
         sigma = _family_weights()[sigma]
     with _root_max(root_max):
         got = dyadic_ainfty(sigma, mode="radial", n_max=n_max).value
-    assert got == _per_root_radial(sigma, n_max, root_max)
+    _assert_within_rounding(got, _per_root_radial(sigma, n_max, root_max), n_max, root_max)
 
 
 class _SpineStub:
@@ -631,6 +663,33 @@ def _outcome(f):
         return "value", f()
     except NonFiniteCandidateError as exc:
         return "raise", str(exc)
+
+
+def _assert_same_outcome(got, want, n_max, top):
+    """The same raise and message, or values within rounding."""
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got == want
+    else:
+        _assert_within_rounding(got[1], want[1], n_max, top)
+
+
+def _checked_reference(i_avg, j_avg, n_max, root_max):
+    """The radial A_infty of the per-root candidates, raising at the first NaN."""
+    best = 0.0
+    for m, value in _per_root_candidates(i_avg, j_avg, n_max, root_max):
+        best = _checked_max(best, value, f"root I_{m}, n_max {n_max}")
+    return best
+
+
+def _radial_outcomes(i_avg, j_avg, n_max, root_max):
+    """(suffix pass, per-root reference) outcomes of one spine."""
+    stub = _SpineStub(i_avg, j_avg)
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: _checked_reference(i_avg, j_avg, n_max, root_max))
+        with _root_max(root_max):
+            got = _outcome(lambda: dyadic_ainfty(stub, mode="radial", n_max=n_max).value)
+    return got, want
 
 
 def _random_spine(rng, n_max, shape):
@@ -653,41 +712,106 @@ _HOLES = st.lists(st.tuples(st.sampled_from(["i", "j"]), st.floats(0.0, 1.0),
        st.sampled_from(["random", "walk", "rising", "falling"]), _HOLES)
 def test_radial_ainfty_is_the_checked_per_root_reference_on_any_spine(n_max, root_max, seed,
                                                                       shape, holes):
-    # non-monotone spines with zeros, infinities and NaNs: the same value, or
-    # the same first NaN root in ascending order, as every root on its own
+    # non-monotone spines with zeros, infinities and NaNs: the same value
+    # within rounding, or the same first NaN root in ascending order, as
+    # every root on its own
     rng = np.random.default_rng(seed)
     spine = {"i": _random_spine(rng, n_max, shape), "j": _random_spine(rng, n_max, shape)}
     spine["j"][0] = np.nan
     for which, where, value in holes:
         spine[which][round(where * n_max)] = value
-
-    def reference():
-        best = 0.0
-        for m, value in _per_root_candidates(spine["i"], spine["j"], n_max, root_max):
-            best = _checked_max(best, value, f"root I_{m}, n_max {n_max}")
-        return best
-
-    stub = _SpineStub(spine["i"], spine["j"])
-    with np.errstate(all="ignore"):
-        want = _outcome(reference)
-        with _root_max(root_max):
-            got = _outcome(lambda: dyadic_ainfty(stub, mode="radial", n_max=n_max).value)
-    assert got == want
+    got, want = _radial_outcomes(spine["i"], spine["j"], n_max, root_max)
+    _assert_same_outcome(got, want, n_max, min(root_max, n_max - 2))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 3000), st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["random", "walk", "rising", "falling"]))
 def test_radial_candidates_are_the_per_root_candidates(n_max, root_max, seed, shape):
-    # the one running-maximum array, updated from the deepest root up, gives
-    # every root the candidate of its own fresh maximum.accumulate, bit for bit
+    # one suffix pass from the deepest root up gives every root the candidate
+    # of its own fresh maximum.accumulate and sum, within rounding
     rng = np.random.default_rng(seed)
     i_avg, j_avg = _random_spine(rng, n_max, shape), _random_spine(rng, n_max, shape)
     j_avg[0] = np.nan
     top = min(root_max, n_max - 2)
     got = ch._radial_candidates(i_avg, j_avg, n_max, top)
     want = [value for _, value in _per_root_candidates(i_avg, j_avg, n_max, root_max)]
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+    assert len(got) == len(want) == top + 1
+    for g, w in zip(got.tolist(), want):
+        _assert_within_rounding(g, w, n_max, top)
+
+
+def _exact_candidates(i_avg, j_avg, n_max, top):
+    """The candidate of each root I_m, m = 0..top, as a Fraction: the averages
+    are dyadic rationals, summed as integers over the common denominator."""
+    values = [*i_avg[:n_max].tolist(), *j_avg[1 : n_max + 1].tolist()]
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    ints = [num * (den // d) for num, d in ratios]
+    i_int, j_int = ints[:n_max], [None, *ints[n_max:]]
+    out = []
+    for m in range(top + 1):
+        total, best = 0, i_int[m]
+        for k in range(m, n_max):
+            best = max(best, i_int[k])
+            total += max(best, j_int[k + 1]) << (n_max + m - k - 1)
+        out.append(Fraction(total, i_int[m] << n_max))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["random", "walk", "rising", "falling"]))
+def test_the_rounding_bound_holds_against_the_exact_candidates(n_max, root_max, seed, shape):
+    # both the suffix pass and the per-root reference lie within _rounding of
+    # the exact candidate of every root, on positive spines
+    rng = np.random.default_rng(seed)
+    i_avg, j_avg = _random_spine(rng, n_max, shape), _random_spine(rng, n_max, shape)
+    j_avg[0] = np.nan
+    top = min(root_max, n_max - 2)
+    eps = Fraction(_rounding(n_max, top))
+    exact = _exact_candidates(i_avg, j_avg, n_max, top)
+    got = ch._radial_candidates(i_avg, j_avg, n_max, top).tolist()
+    want = [value for _, value in _per_root_candidates(i_avg, j_avg, n_max, root_max)]
+    for x, g, w in zip(exact, got, want):
+        assert abs(Fraction(g) - x) <= eps * x and abs(Fraction(w) - x) <= eps * x
+
+
+# the first k whose weight 2^-(k+1) is 0 in extended precision
+_CUT = ch._WEIGHTS.size
+
+
+# (n_max, which, index): the hole sits in the term of k = cut - 1, cut or
+# cut + 1, as I_k or as J_(k+1), wherever the spine reaches it; or in the
+# average of root I_3, or in J_4, which the led prefixes of roots I_0..I_2 read
+_HOLES_AT_THE_CUT = [(n_max, which, k + (which == "j"))
+                     for n_max in (16445, 16446, 20000, 32768) for which in "ij"
+                     for k in (_CUT - 1, _CUT, _CUT + 1, 3) if k + (which == "j") <= n_max]
+
+
+@pytest.mark.parametrize("n_max, which, index", _HOLES_AT_THE_CUT)
+@pytest.mark.parametrize("value", [0.0, math.inf, -math.inf, math.nan])
+def test_radial_ainfty_with_a_hole_next_to_the_cut_is_the_per_root_outcome(n_max, which, index,
+                                                                          value):
+    # on a falling spine every root leads to n_max, so its led prefix (closed
+    # form or summed one by one) crosses the cut; roots I_0..I_8 keep the
+    # per-root reference quick
+    rng = np.random.default_rng(n_max)
+    spine = {"i": _random_spine(rng, n_max, "falling"), "j": _random_spine(rng, n_max, "falling")}
+    spine["j"][0] = np.nan
+    spine[which][index] = value
+    got, want = _radial_outcomes(spine["i"], spine["j"], n_max, 8)
+    _assert_same_outcome(got, want, n_max, 8)
+
+
+@pytest.mark.parametrize("n_max", [16446, 20000, 32768])
+@pytest.mark.parametrize("gamma", [-0.4, 0.5])
+def test_radial_ainfty_of_a_power_past_the_cut_is_the_per_root_reference(n_max, gamma):
+    # x^-0.4 rises, x^0.5 falls; both spines stay finite to n_max 32768
+    sigma = Power(1.0, gamma)
+    got = dyadic_ainfty(sigma, mode="radial", n_max=n_max).value
+    want = _checked_reference(*sigma.spine_averages(n_max), n_max, ch.RADIAL_ROOT_MAX)
+    _assert_within_rounding(got, want, n_max, ch.RADIAL_ROOT_MAX)
 
 
 def test_radial_nan_in_the_deepest_shell_raises_at_root_0():

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ def test_a_non_finite_snorm_term_is_a_precondition_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_PRECONDITION
     assert "type=NonFiniteTermError" in err and "n_max 131072" in err
+    assert not out.exists()
+
+
+def test_an_ainfty_growth_sweep_past_the_overflow_prints_only_its_error_line(tmp_path, capsys):
+    # the spine of the j = 11 weight x^-beta passes the extended-precision
+    # range; its NaN candidate exits 3 with the error line alone, no numpy
+    # warning above it (the radial A_infty forms no inf * 0)
+    out = tmp_path / "ag.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["ainfty-growth", "--p", "3", "--beta-grid", "j=3..12", "--out", str(out)])
+    assert code == EXIT_PRECONDITION
+    assert capsys.readouterr().err == ("# error code=3 type=NonFiniteCandidateError "
+                                       'message="NaN candidate at root I_0, n_max 32768"\n')
     assert not out.exists()
 
 

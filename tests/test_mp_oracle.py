@@ -89,15 +89,14 @@ def _sampled_ks(n_max):
 
 @pytest.mark.parametrize("gamma", _GAMMAS)
 def test_power_spine_averages_are_within_four_ulps_of_mpmath(gamma):
-    # the I_k averages against the exact c/(gamma+1) 2^(-gamma k); the J
-    # averages against the coefficient c (2^(gamma+1) - 1)/(gamma+1) as
-    # rounded (near gamma = -1 it cancels), times the exact 2^(-gamma k):
-    # every normal extended-precision entry, at sampled k
+    # the I_k averages against the exact c/(gamma+1) 2^(-gamma k), the J
+    # averages against the exact c (2^(gamma+1) - 1)/(gamma+1) 2^(-gamma k)
+    # (near gamma = -1 too): every normal extended-precision entry, at sampled k
     c = 1.5
     g = Power(c, gamma)
     i_avg, j_avg = g._spine_averages(_N_MAX)
-    ld = np.longdouble
-    coef_j = _ld_to_mp(ld(c) * (np.exp2(ld(gamma) + 1) - 1) / (ld(gamma) + 1))
+    g1 = mp.mpf(gamma) + 1
+    coef_j = c * (mp.power(2, g1) - 1) / g1
     checked = 0
     for k in _sampled_ks(_N_MAX):
         scale = mp.power(2, -mp.mpf(gamma) * k)
@@ -123,7 +122,8 @@ def test_power_spine_averages_overflow_and_underflow_where_the_exact_ones_do(c, 
     with np.errstate(invalid="ignore"):  # 0 * inf
         avgs = g._spine_averages(_N_MAX)
     ld = np.longdouble
-    coefs = [ld(c) / (ld(gamma) + 1), ld(c) * (np.exp2(ld(gamma) + 1) - 1) / (ld(gamma) + 1)]
+    g1 = ld(gamma) + 1
+    coefs = [ld(c) / g1, ld(c) * np.expm1(g1 * np.log(ld(2))) / g1]
     log2_scale = -gamma * np.arange(1, _N_MAX + 1, dtype=float)  # k >= 1: J_0 is NaN
     for avg, coef in zip(avgs, coefs):
         avg = avg[1:]
