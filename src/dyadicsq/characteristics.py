@@ -23,12 +23,6 @@ _LD = np.longdouble
 #: root's candidate is the same up to the cut at n_max.
 RADIAL_ROOT_MAX = 24
 
-#: The radial weights 2^-(k+1), k = 0, 1, ..., that are not 0 in extended
-#: precision (the bits of np.ldexp, subnormals included): 16445 of them with
-#: x87 extended precision, 1074 where it is double.
-_WEIGHTS = np.full(2 - np.finfo(_LD).minexp + np.finfo(_LD).nmant, _LD(0.5)).cumprod()
-_WEIGHTS = _WEIGHTS[: np.count_nonzero(_WEIGHTS)]
-
 
 class NonFiniteCandidateError(ValueError):
     """A candidate of a supremum came out NaN (an overflowed or 0/0 average)."""
@@ -160,8 +154,15 @@ def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
     # its led terms and the sum of that root from e on.  Only root top's
     # terms are tabled, and summed once: O(n_max + top) extended-precision
     # work, plus the led terms that are summed one by one (below).
-    cut = min(n_max, _WEIGHTS.size)
-    weights = _WEIGHTS[:cut]
+    #
+    # The cut is the number of weights 2^-(k+1) that are not 0 in extended
+    # precision: halving stays exact down to the least positive longdouble,
+    # a subnormal (2^-16445 with x87 extended precision, 2^-1074 where it
+    # is double), and half of that rounds to 0.  It is found per call, in
+    # microseconds: any longdouble work at import raised the peak RSS of
+    # workloads that never reach here by half a megabyte
+    cut = min(n_max, -int(np.log2(np.nextafter(_LD(0), _LD(1)))))
+    weights = np.cumprod(np.broadcast_to(_LD(0.5), cut))  # 2^-(k+1), the bits of np.ldexp
     # C_top on [top, n_max), NaN sorting last
     deep = np.maximum.accumulate(i_avg[top:n_max])
     # past the cut the weights are 0: a finite term is exactly 0 and any
@@ -169,19 +170,20 @@ def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
     # shell whose term is not finite
     bad = np.flatnonzero(~np.isfinite(np.maximum(deep[cut - top :], j_avg[cut + 1 : n_max + 1])))
     last_bad = cut + int(bad[-1]) if bad.size else -1
-    if bad.size:  # then every e < cut is <= last_bad
-        suffix = None
-    else:
-        # suffix[k - top]: root top's sum over [k, cut), deepest term first
-        suffix = np.maximum(deep[: cut - top], j_avg[top + 1 : cut + 1])
-        suffix *= weights[top:]
-        np.cumsum(suffix[::-1], out=suffix[::-1])
+    # suffix[k - start]: root top's sum over [k, cut), deepest term first,
+    # for the k no such NaN reaches (none, if there is one: on the
+    # overflowed j = 11 spine of ainfty-growth, adding up its inf terms
+    # before the cut took four times as long as the rest of the call)
+    start = min(max(top, last_bad + 1), cut)
+    suffix = np.maximum(deep[start - top : cut - top], j_avg[start + 1 : cut + 1])
+    suffix *= weights[start:]
+    np.cumsum(suffix[::-1], out=suffix[::-1])
 
     def from_deep(e):
         """Root top's sum over [e, n_max), e >= top."""
         if e <= last_bad:
             return _LD(np.nan)
-        return suffix[e - top] if e < cut else _LD(0)
+        return suffix[e - start] if e < cut else _LD(0)
 
     # C_(m+1) is nondecreasing, NaN sorting last: row m of runs, the running
     # maximum of I_(m+1)..I_(top-1) and then a NaN (the column reached when

@@ -601,7 +601,12 @@ def _rounding(n_max, top):
 
 def _assert_within_rounding(got, want, n_max, top):
     """got and want each within eps = _rounding(n_max, top) of the exact x,
-    so |got - want| <= 2 eps |x| <= 2 eps / (1 - eps) |want|."""
+    so |got - want| <= 2 eps |x| <= 2 eps / (1 - eps) |want|.  The bound is
+    for finite values only: an inf or NaN on either side must be matched
+    exactly (NaN by NaN)."""
+    if not (math.isfinite(got) and math.isfinite(want)):
+        assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+        return
     eps = _rounding(n_max, top)
     assert got == want or abs(got - want) <= 2 * eps / (1 - eps) * abs(want), (got, want)
 
@@ -778,7 +783,7 @@ def test_the_rounding_bound_holds_against_the_exact_candidates(n_max, root_max, 
 
 
 # the first k whose weight 2^-(k+1) is 0 in extended precision
-_CUT = ch._WEIGHTS.size
+_CUT = int(np.count_nonzero(np.cumprod(np.broadcast_to(np.longdouble(0.5), 20000))))
 
 
 # (n_max, which, index): the hole sits in the term of k = cut - 1, cut or
@@ -802,6 +807,21 @@ def test_radial_ainfty_with_a_hole_next_to_the_cut_is_the_per_root_outcome(n_max
     spine[which][index] = value
     got, want = _radial_outcomes(spine["i"], spine["j"], n_max, 8)
     _assert_same_outcome(got, want, n_max, 8)
+
+
+@pytest.mark.parametrize("which, index", [("j", _CUT), ("j", 4), ("i", 3)])
+def test_radial_ainfty_is_inf_where_the_per_root_reference_is(which, index):
+    # +inf in the last shell before the cut, or in J_4 which the led
+    # prefixes of roots I_0..I_2 read, makes every candidate up to there
+    # inf; a 0 root average I_3 makes root I_3's candidate x/0 = inf
+    n_max = 20000
+    rng = np.random.default_rng(n_max)
+    spine = {"i": _random_spine(rng, n_max, "falling"), "j": _random_spine(rng, n_max, "falling")}
+    spine["j"][0] = np.nan
+    spine[which][index] = 0.0 if which == "i" else math.inf
+    got, want = _radial_outcomes(spine["i"], spine["j"], n_max, 8)
+    assert want == ("value", math.inf)
+    assert got == want
 
 
 @pytest.mark.parametrize("n_max", [16446, 20000, 32768])
