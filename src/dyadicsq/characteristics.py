@@ -25,13 +25,14 @@ RADIAL_ROOT_MAX = 24
 
 
 class NonFiniteCandidateError(ValueError):
-    """A candidate of a supremum came out NaN (an overflowed or 0/0 average)."""
+    """A candidate of a supremum came out NaN or +inf (an overflowed or 0/0 average)."""
 
 
 def _checked_max(best: float, value: float, where: str) -> float:
-    """max(best, value), except that a NaN value raises instead of being dropped."""
-    if math.isnan(value):
-        raise NonFiniteCandidateError(f"NaN candidate at {where}")
+    """max(best, value), except that a NaN or +inf value raises instead of
+    being dropped or reported as the supremum."""
+    if math.isnan(value) or value == math.inf:
+        raise NonFiniteCandidateError(f"{'NaN' if math.isnan(value) else 'inf'} candidate at {where}")
     return max(best, value)
 
 

@@ -147,12 +147,11 @@ def exponent_fit(points) -> tuple[float, float, float]:
     return float(slope), float(intercept), resid
 
 
-def _fit_tail(xs: np.ndarray, ys: np.ndarray, skip: int = 2) -> FitResult:
-    """Power-law fit excluding the first `skip` (transient) grid points;
-    shrinks the exclusion on short grids so at least 3 points remain."""
-    skip = max(0, min(skip, xs.size - 3))
-    sl, ic, res = exponent_fit(zip(xs[skip:], ys[skip:]))
-    return FitResult(sl, ic, res, (float(xs[skip]), float(xs[-1])))
+def _fit_tail(xs: np.ndarray, ys: np.ndarray) -> FitResult:
+    """Power-law fit excluding the first two (transient) grid points, fewer
+    on short grids so that at least 3 points remain."""
+    return _window_fit(xs, ys, np.arange(xs.size) >= min(2, xs.size - 3),
+                       lambda x, y: exponent_fit(zip(x, y)))
 
 
 def characteristics_experiment(family: str, p: float, depth: int, **given) -> Report:

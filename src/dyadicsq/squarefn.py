@@ -1,8 +1,9 @@
 """Martingale differences and the dyadic square function.
 
-The spine path (averages over I_k and the shells J_n) is the primary
-computational route: every lower bound used by the constructions involves only
-differences along the chain toward 0, and it scales to millions of shells.
+The spine path is the primary computational route: every lower bound used by
+the constructions involves only differences along the chain I_0, I_1, ..
+toward 0, so the square function reads the I_k averages alone (the shell
+averages over J_n serve the A_infty), and it scales to millions of shells.
 The full-tree path exists for cross-validation at moderate depth.
 """
 
@@ -36,34 +37,25 @@ class NonFiniteTermError(ValueError):
 class SpineProfile:
     """Spine data for a fixed density g = sigma*f.
 
-    d_left[k]  = value of Delta_{I_k} g on I_{k+1}  (k = 0..n_max-1)
-    left_squares[k] = sum_{j<k} d_left[j]^2  (k = 0..n_max), in extended precision
+    left_squares[n] = sum_{j<n} d_j^2  (n = 0..n_max), in extended precision,
+                      d_j = <g>_{I_(j+1)} - <g>_{I_j}
+    s[n]            = sqrt(left_squares[n]), computed on first read: for
+                      n >= 1 the square-function lower bound on the shell J_n,
+                      from the ancestors I_0..I_(n-1) only.
 
-    computed on first read (``weighted_snorm`` reads s; the divergence streams
-    its left squares through :func:`partial_mass_profile` and builds no profile):
-
-    d_right[k] = value of Delta_{I_k} g on J_{k+1}
-    s[n]       = square-function lower bound on the shell J_n (n = 1..n_max),
-                 using the ancestors I_0..I_{n-1} only.
+    <g>_{I_j} is the mean of its children's averages, so Delta_{I_j} g is d_j
+    on I_(j+1) and -d_j on J_(j+1): s_n^2 = left_squares[n-1] + d_(n-1)^2 is
+    the two-sided form left_squares[n-1] + (<g>_{J_n} - <g>_{I_(n-1)})^2,
+    which needs the J averages too; in floats the two differ by rounding and
+    by how far the computed J_n and I averages are from that mean.
     """
 
     n_max: int
-    i_avg: np.ndarray
-    j_avg: np.ndarray
-    d_left: np.ndarray
     left_squares: np.ndarray
 
     @cached_property
-    def d_right(self) -> np.ndarray:
-        return self.j_avg[1:] - self.i_avg[:-1]
-
-    @cached_property
     def s(self) -> np.ndarray:
-        s = np.empty(self.n_max + 1, dtype=_LD)
-        s[0] = np.nan
-        # on J_n the ancestors I_0..I_{n-2} act through d_left, I_{n-1} through d_right
-        s[1:] = np.sqrt(self.left_squares[:-1] + self.d_right * self.d_right)
-        return s
+        return np.sqrt(self.left_squares)
 
 
 @dataclass(frozen=True)
@@ -86,14 +78,29 @@ def martingale_difference(g: Density, q: DyadicInterval) -> tuple[float, float]:
     return lv - parent, rv - parent
 
 
+def _left_squares(g: Density, n_max: int):
+    """left_squares of :class:`SpineProfile` in the blocks of
+    ``g.spine_blocks(n_max)``, holding one at a time.  Each block's differences
+    (the first against the last average of the block before, or 0 for
+    left_squares[0]) are squared and summed in place by np.cumsum, the carried
+    sum added to the first, so every entry is the float that one np.cumsum over
+    all the squares gives."""
+    prev, carry = None, _LD(0)
+    for block in g.spine_blocks(n_max):
+        d = np.empty(block.size, dtype=_LD)
+        np.subtract(block[1:], block[:-1], out=d[1:])
+        d[0] = 0 if prev is None else block[0] - prev
+        d *= d
+        d[0] += carry
+        np.cumsum(d, out=d)
+        carry, prev = d[-1], block[-1]
+        yield d
+
+
 def spine_profile(g: Density, n_max: int) -> SpineProfile:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    i_avg, j_avg = g.spine_averages(n_max)
-    d_left = i_avg[1:] - i_avg[:-1]
-    cum = np.zeros(n_max + 1, dtype=_LD)
-    np.cumsum(d_left * d_left, out=cum[1:])
-    return SpineProfile(n_max, i_avg, j_avg, d_left, cum)
+    return SpineProfile(n_max, np.concatenate(list(_left_squares(g, n_max))))
 
 
 def level_averages(g: Density, depth: int) -> list[np.ndarray]:
@@ -169,55 +176,27 @@ def weighted_snorm(fsigma: Density, w: Density, p: float, n_max: int,
     return math.exp(log_total / p)
 
 
-def prefix_sums_at(term_blocks, ks) -> np.ndarray:
-    """S[k] = sum_{j<k} t_j at each k of ks, in extended precision, for the
-    terms t_0, t_1, .. given in consecutive fresh blocks, holding one block at
-    a time.  Each block is summed in place by np.cumsum, the carried S at its
-    start added to its first term, so every S[k] is the float that one
-    np.cumsum over all the terms gives."""
-    out = np.zeros(ks.size, dtype=_LD)
-    lo, carry = 0, _LD(0)
-    for t in term_blocks:
-        if t.size:
-            t[0] += carry
-            np.cumsum(t, out=t)  # S[lo + 1], .., S[lo + t.size]
-            at = (ks > lo) & (ks <= lo + t.size)
-            out[at] = t[ks[at] - lo - 1]
-            lo, carry = lo + t.size, t[-1]
-    if ks.max() > lo:
-        raise ValueError(f"k = {ks.max()} beyond the {lo} terms given")
-    return out
-
-
 def partial_mass_profile(g: Density, w: Density, p: float, ks) -> np.ndarray:
     """Certified lower bounds of int_{I_k} S(g)^p w dx for each k, g = f sigma.
 
     On I_k the first k spine differences are constant in magnitude, so
     (sum_{j<k} d_j^2)^(p/2) * w(I_k) is a valid lower bound; it is the
     shell-sum over J_n, n > k, of that constant against the shell masses of w.
-    The sums of squares are those of ``spine_profile(g, max(ks)).left_squares``
-    to the bit, reduced over ``g.spine_blocks`` as they come: a shell-wise g
-    never holds more than one block of its spine.
+    The sums of squares are ``spine_profile(g, max(ks)).left_squares``, taken
+    from its blocks as they come: a shell-wise g never holds more than one
+    block of its spine.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=int))
     if ks.min() < 0:
         raise ValueError("k must be >= 0")
-
-    def d_left_squares():
-        prev = None  # the last average of the block before
-        for block in g.spine_blocks(int(ks.max())):
-            # the differences into one buffer, the first against prev, squared in place
-            d = np.empty(block.size, dtype=_LD)
-            np.subtract(block[1:], block[:-1], out=d[1:])
-            if prev is None:
-                d = d[1:]
-            else:
-                d[0] = block[0] - prev
-            d *= d
-            yield d
-            prev = block[-1]
-
-    left_squares = prefix_sums_at(d_left_squares(), ks)
+    left_squares = np.empty(ks.size, dtype=_LD)
+    lo = 0  # the entries below lo are gathered
+    for block in _left_squares(g, int(ks.max())):
+        at = (ks >= lo) & (ks < lo + block.size)
+        left_squares[at] = block[ks[at] - lo]
+        lo += block.size
+    if ks.max() >= lo:
+        raise ValueError(f"k = {ks.max()} beyond the {lo - 1} terms given")
     out = np.empty(ks.size)
     for i, k in enumerate(ks):
         out[i] = float(left_squares[i] ** (p / 2.0)) * w.spine_mass(int(k))

@@ -809,18 +809,19 @@ def test_radial_ainfty_with_a_hole_next_to_the_cut_is_the_per_root_outcome(n_max
     _assert_same_outcome(got, want, n_max, 8)
 
 
-@pytest.mark.parametrize("which, index", [("j", _CUT), ("j", 4), ("i", 3)])
-def test_radial_ainfty_is_inf_where_the_per_root_reference_is(which, index):
+@pytest.mark.parametrize("which, index, root", [("j", _CUT, 0), ("j", 4, 0), ("i", 3, 3)])
+def test_radial_ainfty_raises_where_the_per_root_reference_is_inf(which, index, root):
     # +inf in the last shell before the cut, or in J_4 which the led
     # prefixes of roots I_0..I_2 read, makes every candidate up to there
-    # inf; a 0 root average I_3 makes root I_3's candidate x/0 = inf
+    # inf; a 0 root average I_3 makes root I_3's candidate x/0 = inf.  An
+    # inf candidate is no supremum: both sides raise at its root
     n_max = 20000
     rng = np.random.default_rng(n_max)
     spine = {"i": _random_spine(rng, n_max, "falling"), "j": _random_spine(rng, n_max, "falling")}
     spine["j"][0] = np.nan
     spine[which][index] = 0.0 if which == "i" else math.inf
     got, want = _radial_outcomes(spine["i"], spine["j"], n_max, 8)
-    assert want == ("value", math.inf)
+    assert want == ("raise", f"inf candidate at root I_{root}, n_max {n_max}")
     assert got == want
 
 
@@ -845,13 +846,31 @@ def test_radial_nan_in_the_deepest_shell_raises_at_root_0():
 
 def test_radial_nan_lifted_by_a_shallower_root_stays_with_its_root():
     # -inf at I_6 and J_7 and +inf at J_8 make root 6's sum NaN; I_5 = 1
-    # lifts the -inf, so roots 0..5 are inf and the NaN is root 6's alone
+    # lifts the -inf, so roots 0..5 are inf and the NaN is root 6's alone;
+    # the A_infty raises at the first of them, root I_0
     i_avg = np.full(9, np.longdouble(1.0))
     j_avg = np.full(9, np.longdouble(1.0))
     i_avg[6], j_avg[7], j_avg[8], j_avg[0] = -np.inf, -np.inf, np.inf, np.nan
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NonFiniteCandidateError, match="root I_6, n_max 8$"):
+        got = ch._radial_candidates(i_avg, j_avg, 8, 6).tolist()
+        assert got[:6] == [math.inf] * 6 and math.isnan(got[6]) and len(got) == 7
+        with pytest.raises(NonFiniteCandidateError, match="^inf candidate at root I_0, n_max 8$"):
             dyadic_ainfty(_SpineStub(i_avg, j_avg), mode="radial", n_max=8)
+
+
+def test_radial_ainfty_of_a_power_raises_where_its_spine_overflows_before_the_cut():
+    # the spine of x^-beta, beta = 1 - 2^-11, passes the extended-precision
+    # range before the weights vanish (the cut at 16445): from n_max 16382
+    # its terms sum to inf, which raises, where 1/(2 - 2^beta) ~ 1477.6;
+    # below, the value is the closed form cut at n_max, about 1471.79
+    beta = 1.0 - 2.0 ** -11
+    sigma = Power(1.0, -beta)
+    want = (1.0 - 2.0 ** (-(1.0 - beta) * 16381)) / (2.0 - 2.0 ** beta)
+    assert dyadic_ainfty(sigma, mode="radial", n_max=16381).value == pytest.approx(want, rel=1e-12)
+    for n_max in (16382, 16400, 16445):
+        with pytest.raises(NonFiniteCandidateError,
+                           match=f"^inf candidate at root I_0, n_max {n_max}$"):
+            dyadic_ainfty(sigma, mode="radial", n_max=n_max)
 
 
 def test_radial_zero_over_zero_reports_the_smallest_root():

@@ -234,6 +234,21 @@ def test_an_ainfty_growth_sweep_past_the_overflow_prints_only_its_error_line(tmp
     assert not out.exists()
 
 
+def test_an_ainfty_growth_sweep_with_an_inf_candidate_exits_3(tmp_path, capsys):
+    # at beta = 0.99902439 (n_max 16400) the spine of x^-beta overflows before
+    # the weights vanish, so the radial sum is inf: an inf A_infty is no
+    # supremum and no fit, and exits 3 with the error line alone
+    out = tmp_path / "ag.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["ainfty-growth", "--p", "3", "--beta-list", "0.5,0.75,0.99902439",
+                    "--out", str(out), "--no-timestamp"])
+    assert code == EXIT_PRECONDITION
+    assert capsys.readouterr().err == ("# error code=3 type=NonFiniteCandidateError "
+                                       'message="inf candidate at root I_0, n_max 16400"\n')
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", [
     ["characteristics", "--family", "lerner", "--p", "3", "--beta", "0.875", "--depth", "6"],
     ["characteristics", "--family", "direct_sum", "--p", "4", "--depth", "6"],

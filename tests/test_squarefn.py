@@ -60,7 +60,8 @@ def test_spine_profile_alternating_closed_forms():
     prof = spine_profile(ALT_SF, 64)
     for n in range(1, 65):
         assert float(prof.s[n]) == pytest.approx((2.0 / 3.0) * math.sqrt(n), rel=1e-13)
-    np.testing.assert_allclose(np.abs(np.asarray(prof.d_left, float)), 2.0 / 3.0, rtol=1e-13)
+    d = np.diff(ALT_SF.spine_averages(64)[0])
+    np.testing.assert_allclose(np.abs(np.asarray(d, float)), 2.0 / 3.0, rtol=1e-13)
 
 
 def test_spine_profile_constant_is_zero():
@@ -69,13 +70,16 @@ def test_spine_profile_constant_is_zero():
 
 
 def test_spine_profile_log_power_lower_bound():
-    # |Delta_{I_k}| >= 1/(4 (k+2)^r), checked on I_{k+1} and measured on J_{k+1}
+    # |Delta_{I_k}| >= 1/(4 (k+2)^r), checked on I_{k+1} and measured on J_{k+1};
+    # s_(k+1) >= |Delta_{I_k}| then has the same floor
     r = 0.4
-    prof = spine_profile(SignModulate(LogPowerPlain(r)), 2000)
-    k = np.arange(prof.n_max)
+    g = SignModulate(LogPowerPlain(r))
+    i_avg, j_avg = g.spine_averages(2000)
+    k = np.arange(2000)
     floor = 1.0 / (4.0 * (k + 2.0) ** r)
-    assert np.all(np.abs(np.asarray(prof.d_left, float)) >= floor)
-    assert np.all(np.abs(np.asarray(prof.d_right, float)) >= floor)
+    assert np.all(np.abs(np.asarray(i_avg[1:] - i_avg[:-1], float)) >= floor)
+    assert np.all(np.abs(np.asarray(j_avg[1:] - i_avg[:-1], float)) >= floor)
+    assert np.all(np.asarray(spine_profile(g, 2000).s[1:], float) >= floor)
 
 
 def test_full_square_function_constant_zero():
@@ -175,17 +179,18 @@ def _alternating_spine(n_max):
 
 @pytest.mark.parametrize("shell, value", [(5, np.nan), (7, np.inf), (400, np.nan)])
 def test_weighted_snorm_raises_on_a_non_finite_term(shell, value):
+    # I_shell enters the snorm first through d_(shell-1), on J_shell
     i_avg, j_avg = _alternating_spine(400)
-    j_avg[shell] = value
+    i_avg[shell] = value
     with pytest.raises(NonFiniteTermError, match=f"shell J_{shell}, n_max 400$"):
         weighted_snorm(_Spine(i_avg, j_avg), Power(1.0, -0.5), 4.0, n_max=400)
 
 
 def test_weighted_snorm_drops_a_zero_term():
-    # J_1 averaging what I_0 does makes s_1 = 0, a term of -inf in log
+    # I_1 averaging what I_0 does makes s_1 = 0, a term of -inf in log
     p, w = 4.0, Power(1.0, -0.5)
     i_avg, j_avg = _alternating_spine(400)
-    j_avg[1] = i_avg[0]
+    i_avg[1] = i_avg[0]
     g = _Spine(i_avg, j_avg)
     s = spine_profile(g, 400).s
     assert s[1] == 0.0
@@ -229,17 +234,23 @@ def test_partial_mass_monotone_and_positive():
     assert np.all(np.diff(m) > 0)  # grows like k^((1-2r)(p/2-1))
 
 
+def _eager_left_squares(i_avg):
+    """sum_{j<k} (I_(j+1) - I_j)^2 for k = 0..n_max, by one np.cumsum."""
+    d = i_avg[1:] - i_avg[:-1]
+    cum = np.zeros(i_avg.size, dtype=np.longdouble)
+    np.cumsum(d * d, out=cum[1:])
+    return cum
+
+
 def test_partial_mass_profile_uses_the_left_squares_of_the_profile():
-    # the prefix sums spine_profile keeps are the ones partial_mass_profile
-    # reduces over the spine blocks, so its output is unchanged to the bit
+    # spine_profile keeps the prefix sums of the squared spine differences,
+    # and partial_mass_profile reads the same floats
     from dyadicsq.density import LogPowerOverX
     p, r = 3.0, 0.4
     w = LogPowerOverX(1.0, 2.0 - 2.0 * r)
     g = SignModulate(LogPowerPlain(r))
-    prof = spine_profile(g, 5000)
-    rebuilt = np.zeros(prof.n_max + 1, dtype=np.longdouble)
-    np.cumsum(prof.d_left * prof.d_left, out=rebuilt[1:])
-    assert np.array_equal(prof.left_squares, rebuilt)
+    rebuilt = _eager_left_squares(g.spine_averages(5000)[0])
+    assert np.array_equal(spine_profile(g, 5000).left_squares, rebuilt)
     ks = np.unique(np.geomspace(1, 5000, 60).astype(int))
     ks = np.concatenate([[0], ks])
     want = [0.0 if k == 0 else float(rebuilt[k] ** (p / 2.0)) * w.spine_mass(int(k)) for k in ks]
@@ -253,12 +264,12 @@ _SEAMS = [1, 127, 128, 8191, 8192, 8193, 2 * 8192 + 5]  # around the fold blocks
 @given(st.sampled_from(_SEAMS), st.floats(2.0, 6.0, exclude_min=True), st.data())
 def test_the_streamed_partial_masses_are_the_eager_ones(k_max, p, data):
     # one pass over the spine blocks gives, float for float, the left squares
-    # of the whole profile, across each block seam
+    # of one np.cumsum over the whole spine, across each block seam
     from dyadicsq.density import LogPowerOverX
     r = data.draw(st.floats(1.0 / p, 0.5, exclude_min=True, exclude_max=True), label="r")
     g, w = SignModulate(LogPowerPlain(r)), LogPowerOverX(1.0, 2.0 - 2.0 * r)
     assume(w.s > 1.0)  # 2 - 2r rounds to 1 for r within an ulp of 1/2
-    left_squares = spine_profile(g, k_max).left_squares
+    left_squares = _eager_left_squares(g.spine_averages(k_max)[0])
     ks = np.arange(k_max + 1)
     want = [float(left_squares[k] ** (p / 2.0)) * w.spine_mass(int(k)) for k in ks]
     assert partial_mass_profile(g, w, p, ks).tolist() == want
@@ -295,14 +306,15 @@ def test_the_streamed_left_squares_keep_every_special_of_the_eager_ones(sizes, s
     g = _BlockedSpine(i_avg, sizes)
     k_max = i_avg.size - 1
     with np.errstate(all="ignore"):
-        left_squares = spine_profile(g, k_max).left_squares
+        left_squares = _eager_left_squares(i_avg)
+        assert np.array_equal(spine_profile(g, k_max).left_squares, left_squares, equal_nan=True)
         want = np.array([float(left_squares[k] ** 2.0) * 2.0 ** -k for k in range(k_max + 1)])
         got = partial_mass_profile(g, Constant(1.0), 4.0, np.arange(k_max + 1))
     assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
-# spine profiles: d_right and s are computed on first read
+# spine profiles: one cumsum of the I_k differences, s computed on first read
 
 
 def _family_densities():
@@ -323,29 +335,55 @@ def _family_densities():
 _FAMILY_DENSITIES = dict(_family_densities())
 
 
-@pytest.mark.parametrize("n_max", [4, 257, 4096])
+@pytest.mark.parametrize("n_max", [4, 257, 4096, 8193])  # 8193: past a fold seam
 @pytest.mark.parametrize("name", sorted(_FAMILY_DENSITIES))
-def test_lazy_spine_profile_fields_are_the_eager_formulas(name, n_max):
+def test_spine_profile_is_one_cumsum_of_the_spine_differences(name, n_max):
     g = _FAMILY_DENSITIES[name]
     try:
-        i_avg, j_avg = g.spine_averages(n_max)
+        i_avg, _ = g.spine_averages(n_max)
     except NonIntegrableError:  # beyond the density's spine depth: the profile fails alike
         with pytest.raises(NonIntegrableError):
             spine_profile(g, n_max)
         return
     prof = spine_profile(g, n_max)
-    d_left = i_avg[1:] - i_avg[:-1]
-    d_right = j_avg[1:] - i_avg[:-1]
-    cum = np.zeros(n_max + 1, dtype=np.longdouble)
-    np.cumsum(d_left * d_left, out=cum[1:])
-    s = np.empty(n_max + 1, dtype=np.longdouble)
-    s[0] = np.nan
-    s[1:] = np.sqrt(cum[:-1] + d_right * d_right)
-    assert "s" not in vars(prof) and "d_right" not in vars(prof)
-    assert np.array_equal(prof.d_left, d_left) and np.array_equal(prof.left_squares, cum)
-    assert np.array_equal(prof.d_right, d_right)
-    assert np.array_equal(prof.s, s, equal_nan=True)
-    assert prof.s is prof.s and prof.d_right is prof.d_right  # built once
+    assert "s" not in vars(prof)
+    assert np.array_equal(prof.left_squares, _eager_left_squares(i_avg))
+    assert np.array_equal(prof.s, np.sqrt(prof.left_squares))
+    assert prof.s is prof.s  # built once
+
+
+@pytest.mark.parametrize("n_max", [4, 257, 4096, 8193])
+@pytest.mark.parametrize("name", sorted(_FAMILY_DENSITIES))
+def test_the_spine_square_function_is_the_two_sided_one(name, n_max):
+    """s[n] against the two-sided form sqrt(L + e^2), e = J_n - I_(n-1), which
+    reads the J averages; s[n] = sqrt(L + d^2), d = I_n - I_(n-1), with the
+    same float L = left_squares[n-1].
+
+    Bound.  x -> sqrt(L + x^2) is 1-Lipschitz in |x|, so the exact forms
+    differ by at most ||e| - |d||, which is 0 in exact arithmetic (I_(n-1) is
+    the mean of I_n and J_n) and is here what rounding left of the computed
+    averages.  Each form rounds x^2, the sum with L >= 0 and the sqrt once,
+    with unit roundoff u, so it is within (1 + u)^2 - 1 <= 3u of its exact
+    value, relative.  Hence |s - old| <= (1 + u) |fl(|e| - |d|)|
+    + 3u (s + old), raised to 4u for the rounding of the bound itself.  A
+    zero or non-finite value is the same in both forms.
+    """
+    g = _FAMILY_DENSITIES[name]
+    try:
+        i_avg, j_avg = g.spine_averages(n_max)
+    except NonIntegrableError:
+        return
+    u = np.finfo(np.longdouble).eps / 2
+    prof = spine_profile(g, n_max)
+    s = prof.s[1:]
+    e, d = j_avg[1:] - i_avg[:-1], i_avg[1:] - i_avg[:-1]
+    old = np.sqrt(prof.left_squares[:-1] + e * e)
+    assert np.array_equal(s == 0, old == 0)
+    assert np.array_equal(np.isfinite(s), np.isfinite(old))
+    assert np.array_equal(np.isnan(s), np.isnan(old))
+    fin = np.isfinite(s)
+    bound = (1 + 4 * u) * np.abs(np.abs(e) - np.abs(d)) + 4 * u * (s + old)
+    assert np.all(np.abs(s - old)[fin] <= bound[fin])
 
 
 @pytest.mark.parametrize("k_max", _SEAMS)
