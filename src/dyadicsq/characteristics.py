@@ -53,7 +53,8 @@ def dyadic_joint_ap(w: Density, sigma: Density, p: float, depth: int) -> Charact
     asig = level_averages(sigma, depth)
     best = 0.0
     for lev in range(depth + 1):
-        vals = aw[lev] * asig[lev] ** (p - 1.0)
+        with np.errstate(all="ignore"):  # an overflowed or 0/0 product raises below
+            vals = aw[lev] * asig[lev] ** (p - 1.0)
         best = _checked_max(best, float(np.max(vals)), f"roots of level {lev}, depth {depth}")
     return CharacteristicEstimate(best)
 
@@ -73,10 +74,10 @@ def spine_joint_ap_values(w: Density, sigma: Density, p: float, n_max: int) -> n
     precision (the max over the other I_k is still a lower bound)."""
     # the averages alone overflow extended precision on deep spines; the
     # products stay bounded, so combine them in log space
-    iw, _ = w.spine_averages(n_max)
-    isig, _ = sigma.spine_averages(n_max)
+    iw = w.spine_averages(n_max)
+    isig = sigma.spine_averages(n_max)
     tiny = np.finfo(_LD).tiny
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf - inf: spine_joint_ap raises
         logs = np.log(np.where(iw < tiny, 0, iw)) \
             + _LD(p - 1.0) * np.log(np.where(isig < tiny, 0, isig))
     return np.exp(logs).astype(float)
@@ -106,6 +107,14 @@ def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tr
     table stops at the first weight 2^-(k+1) that is 0 in extended
     precision: past it the term of a finite shell value is exactly 0 and of
     any other NaN, so one finiteness check stands for those shells.
+
+    The shell averages come from the spine: <sigma>_{I_k} is the mean of
+    <sigma>_{I_(k+1)} and <sigma>_{J_(k+1)}, so J_(k+1) = 2 I_k - I_(k+1),
+    exact before rounding within a fold block (both sum to its last shell)
+    and off by about 2^-127 of I_(b+127) at a seam b; a non-finite I_(k+1)
+    is copied, not computed on (x87 arithmetic on inf is slow).  On a
+    growing x^-beta the difference loses about j bits at beta = 1 - 2^-j,
+    but there J_(k+1) = (2 - 2^beta) I_k < I_k <= C_m[k] is never taken.
     """
     if mode == "full_tree":
         if depth is None or depth > FULL_TREE_MAX_DEPTH:
@@ -128,20 +137,31 @@ def _ainfty_full_tree(sigma: Density, depth: int) -> CharacteristicEstimate:
         running = np.maximum(running, anc) if lev < depth else anc.copy()
         # integral of the within-root maximal function for every root at lev
         sums = running.reshape(2 ** lev, n_leaf // 2 ** lev).sum(axis=1) / n_leaf
-        ratios = sums / (avgs[lev] * 2.0 ** (-lev))
+        with np.errstate(all="ignore"):  # an overflowed or 0/0 ratio raises below
+            ratios = sums / (avgs[lev] * 2.0 ** (-lev))
         best = _checked_max(best, float(np.max(ratios)), f"roots of level {lev}, depth {depth}")
     return CharacteristicEstimate(best)
 
 
 def _ainfty_radial(sigma: Density, n_max: int) -> CharacteristicEstimate:
-    i_avg, j_avg = sigma.spine_averages(n_max)
+    i_avg = sigma.spine_averages(n_max)
     top = min(RADIAL_ROOT_MAX, n_max - 2)
     if top < 0:
         return CharacteristicEstimate(0.0)
     best = 0.0
-    for m, ratio in enumerate(_radial_candidates(i_avg, j_avg, n_max, top).tolist()):
+    candidates = _radial_candidates(i_avg, _shell_averages(i_avg), n_max, top)
+    for m, ratio in enumerate(candidates.tolist()):
         best = _checked_max(best, ratio, f"root I_{m}, n_max {n_max}")
     return CharacteristicEstimate(best)
+
+
+def _shell_averages(i_avg):
+    """J_(k+1) = 2 I_k - I_(k+1) at k + 1, I_(k+1) if that is not finite; NaN at 0."""
+    j_avg, finite = np.concatenate(([np.nan], i_avg[1:])), np.isfinite(i_avg[1:])
+    with np.errstate(over="ignore"):  # an inf 2 I_k raises as an inf candidate
+        np.multiply(i_avg[:-1], 2, out=j_avg[1:], where=finite)
+    np.subtract(j_avg[1:], i_avg[1:], out=j_avg[1:], where=finite)
+    return j_avg
 
 
 def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
@@ -403,9 +423,16 @@ def _singular_pair_maxima(w, sigma, p: float, spans) -> list[float]:
     a, b = (np.array(x, dtype=float) for x in zip(*probes))
     mw, ms = (g.masses(a, b) for g in (w, sigma))
     # Python floats: numpy's power is not float.__pow__ to the last bit
-    vals = [x / n * (y / n) ** (p - 1.0) for x, y, n in zip(mw.tolist(), ms.tolist(), (b - a).tolist())]
-    if nan := next(((x, y) for v, (x, y) in zip(vals, probes) if math.isnan(v)), None):
-        raise NonFiniteCandidateError(f"NaN candidate at singular probe [{nan[0]:g}, {nan[1]:g}), "
-                                      f"span {top}")
+    vals = [_probe_value(x, y, n, p) for x, y, n in zip(mw.tolist(), ms.tolist(), (b - a).tolist())]
+    if bad := next(((v, ab) for v, ab in zip(vals, probes) if not v < math.inf), None):
+        _checked_max(0.0, bad[0], f"singular probe [{bad[1][0]!r}, {bad[1][1]!r}), span {top}")
     return [max([0.0] + [v for v, (x, y) in zip(vals, probes) if -s <= x and y <= s])
             for s in spans]
+
+
+def _probe_value(mw: float, ms: float, n: float, p: float) -> float:
+    """<w><sigma>^(p-1) over a probe of length n; +inf where the power overflows."""
+    try:
+        return mw / n * (ms / n) ** (p - 1.0)
+    except OverflowError:
+        return math.inf

@@ -11,23 +11,24 @@ Conventions:
 * ``primitive(t)`` is the mass of [0, t), vectorized over numpy arrays; without
   an antiderivative (:class:`ShellwiseDensity`) it is the mass below the point's
   shell, cached per instance and shell, plus a vectorized partial shell;
-* ``spine_averages(n_max)`` returns the averages over I_k = [0, 2^-k) and over
-  the shells J_n = [2^-n, 2^-(n-1)) as read-only extended-precision arrays
+* a spine is its I_k averages: ``spine_averages(n_max)`` returns those over
+  I_k = [0, 2^-k), k = 0..n_max, as one read-only extended-precision array
   (kept on the instance for the last n_max), the workhorse for all deep spine
-  computations; without a closed form (:class:`ShellwiseDensity`) the I_k
-  averages are the suffix sums <g>_{I_k} = sum_{m>=1} 2^-m <g>_{J_{k+m}},
-  summed in mass form, from the deepest shell up, by one ``np.cumsum`` per
-  block (``_suffix_fold``); each I_k sums every shell its block reads, at
-  least ``_SUFFIX_TAPS`` = 128, so the dropped tail is about 2^-128 of the sum
-  for bounded shell averages and at most about 2^-64 for averages growing
-  like 2^(n/p), p > 2 (the direct-sum sigma*f); the shell averages the fold
-  reads (``_shell_avgs``) may be doubles, which it scales into extended
-  precision exactly;
+  computations; a shell average is 2 <g>_{I_(n-1)} - <g>_{I_n} over
+  J_n = [2^-n, 2^(1-n)).  Without a closed form (:class:`ShellwiseDensity`)
+  the I_k averages are the suffix sums <g>_{I_k} = sum_{m>=1} 2^-m
+  <g>_{J_{k+m}}, summed in mass form, from the deepest shell up, by one
+  ``np.cumsum`` per block (``_suffix_fold``); each I_k sums every shell its
+  block reads, at least ``_SUFFIX_TAPS`` = 128, so the dropped tail is about
+  2^-128 of the sum for bounded shell averages and at most about 2^-64 for
+  averages growing like 2^(n/p), p > 2 (the direct-sum sigma*f); the shell
+  averages the fold reads (``_shell_avgs``) may be doubles, which it scales
+  into extended precision exactly;
 * ``spine_blocks(n_max)`` yields the same I_k averages in consecutive blocks.
   A :class:`ShellwiseDensity` folds them ``_FOLD_BLOCK`` = 8192 at a time from
   that block's own 8192 + 127 shells and holds one block at a time, so a
   reduction over the blocks (``squarefn.partial_mass_profile``) runs in memory
-  independent of n_max; its ``spine_averages`` is the same blocks copied into
+  independent of n_max; its ``spine_averages`` is the same blocks joined into
   one array, so the eager and the streamed spine are one fold, float for float;
 * a :class:`PiecewiseDyadic` places a block density on (0, 1) on each shell
   J_n through the maps u = 2^n x - 1 or, mirrored, u = 2 - 2^n x, both exact
@@ -102,14 +103,13 @@ class Density:
         return float(self.primitive(min(b, 1.0)) - self.primitive(a))
 
     def spine_averages(self, n_max: int):
-        """Averages (I_avg[0..n_max], J_avg[0..n_max]); J_avg[0] is nan.
+        """The averages over I_k = [0, 2^-k), k = 0..n_max.
 
-        Read-only arrays, kept on the instance for the last n_max asked for:
-        the characteristics of one call build each weight's spine once.
+        One read-only array, kept on the instance for the last n_max asked
+        for: the characteristics of one call build each weight's spine once.
         """
         if (last := self.__dict__.get("_spine")) is None or last[0] != n_max:
-            for a in (spine := self._spine_averages(n_max)):
-                a.flags.writeable = False
+            (spine := self._spine_averages(n_max)).flags.writeable = False
             self.__dict__["_spine"] = last = (n_max, spine)
         return last[1]
 
@@ -118,15 +118,10 @@ class Density:
         raise NotImplementedError
 
     def spine_blocks(self, n_max: int):
-        """The I_k averages of ``spine_averages(n_max)``, k = 0..n_max, as
-        consecutive blocks: one here, and for :class:`ShellwiseDensity` blocks
-        of ``_FOLD_BLOCK``, folded one at a time."""
-        yield self.spine_averages(n_max)[0]
-
-    def _shell_avgs(self, n_lo: int, n_hi: int):
-        """Extended-precision averages over J_{n_lo}..J_{n_hi}, a fresh array,
-        each shell's value independent of the range."""
-        return self._spine_averages(n_hi)[1][n_lo:]
+        """``spine_averages(n_max)`` as consecutive blocks: one here, and for
+        :class:`ShellwiseDensity` blocks of ``_FOLD_BLOCK``, folded one at a
+        time."""
+        yield self.spine_averages(n_max)
 
     def spine_mass(self, k: int) -> float:
         """Mass of I_k = [0, 2^-k); overridden where 2^-k would underflow."""
@@ -181,13 +176,13 @@ class ShellwiseDensity(Density):
     shell's value independent of the range, in extended precision or in double
     (:class:`LogPowerPlain`, whose rule is a double one: the fold's first
     product, by a power of two, takes it into extended precision exactly).
-    Spine averages are the suffix fold of the shell averages, block by block
-    (``spine_blocks`` holds one block at a time, ``spine_averages`` joins them;
-    an I_k sums the shells down to its block's last, so the last block's floats
-    depend on n_max), and the masses of [0, 2^-n) suffix sums of the shell
-    masses.  For t in J_n, ``primitive(t)`` is the mass below 2^-n plus
-    ``_partial``; those masses are cached on the instance, so each shell is
-    summed once however many points it holds.
+    The spine, its I_k averages, is the suffix fold of the shell averages,
+    block by block (``spine_blocks`` yields one block at a time,
+    ``spine_averages`` joins them; an I_k sums the shells down to its block's
+    last, so the last block's floats depend on n_max), and the masses of
+    [0, 2^-n) suffix sums of the shell masses.  For t in J_n, ``primitive(t)``
+    is the mass below 2^-n plus ``_partial``; those masses are cached on the
+    instance, so each shell is summed once however many points it holds.
     """
 
     #: Deepest spine served.
@@ -197,32 +192,21 @@ class ShellwiseDensity(Density):
     def _below(self) -> dict[int, float]:
         return {}
 
-    def _fold_blocks(self, n_max: int):
-        """(b, I_k averages, J_(k+1) averages) for the k in [b, b + _FOLD_BLOCK)
-        up to n_max, block by block: the suffix fold of the block's own
-        m + 127 shells (m outputs), fresh per block.  A shell's value does not
-        depend on the block, and output k sums the shells from J_(k+1) to the
-        block's last, so ``spine_blocks`` and ``spine_averages`` give the same
-        floats for one n_max."""
+    def spine_blocks(self, n_max: int):
+        """The I_k averages, k in [b, b + _FOLD_BLOCK) up to n_max, each block
+        the suffix fold of its own m + 127 shells (m outputs), fresh.  Output k
+        sums the shells from J_(k+1) to its block's last, so ``spine_averages``
+        joins the same floats."""
         if n_max > self._MAX_SPINE:
             raise NonIntegrableError(
                 f"{type(self).__name__}: spine depth limited to {self._MAX_SPINE}")
         down, up = _fold_scalings(min(_FOLD_BLOCK, n_max + 1))
         for b in range(0, n_max + 1, _FOLD_BLOCK):
             m = min(_FOLD_BLOCK, n_max + 1 - b)
-            shells = self._shell_avgs(b + 1, b + m + _SUFFIX_TAPS - 1)
-            yield b, _suffix_fold(shells, down, up), shells[:m]
-
-    def spine_blocks(self, n_max: int):
-        return (i_avg for _, i_avg, _ in self._fold_blocks(n_max))
+            yield _suffix_fold(self._shell_avgs(b + 1, b + m + _SUFFIX_TAPS - 1), down, up)
 
     def _spine_averages(self, n_max: int):
-        i_avg, j_avg = np.empty(n_max + 1, dtype=_LD), np.empty(n_max + 2, dtype=_LD)
-        j_avg[0] = np.nan
-        for b, i_block, shells in self._fold_blocks(n_max):
-            i_avg[b : b + i_block.size] = i_block
-            j_avg[b + 1 : b + 1 + shells.size] = shells
-        return i_avg, j_avg[: n_max + 1]
+        return np.concatenate(list(self.spine_blocks(n_max)))
 
     def _masses_below(self, ns):
         """Masses of [0, 2^-n) for the shells ns: the _SUFFIX_TAPS shell masses
@@ -269,8 +253,10 @@ class Constant(Density):
         return self.c * np.asarray(t, dtype=float)
 
     def _spine_averages(self, n_max: int):
-        i_avg = np.full(n_max + 1, _LD(self.c))
-        return i_avg, np.concatenate(([np.nan], i_avg[1:]))
+        return np.full(n_max + 1, _LD(self.c))
+
+    def _shell_avgs(self, n_lo: int, n_hi: int):  # fresh: SignModulate negates in place
+        return np.full(n_hi - n_lo + 1, _LD(self.c))
 
 
 @dataclass(frozen=True)
@@ -279,8 +265,7 @@ class Power(Density):
 
     Its spine averages c/(gamma+1) 2^(-gamma k) are within 3 extended-precision
     ulps (about 2e-19 relative) of 40-digit mpmath, for normal values below
-    n_max = 2^22; the J averages' 2^(gamma+1) - 1 is expm1((gamma+1) ln 2),
-    which does not cancel near gamma = -1.
+    n_max = 2^22.
     """
 
     c: float
@@ -321,20 +306,16 @@ class Power(Density):
         b = 1 << (n_max.bit_length() + 1) // 2
         steps = np.arange(b, dtype=_LD)
         q = n_max // b + 1  # rows
-        i_avg, j_avg = (np.empty((q, b), dtype=_LD) for _ in range(2))
+        coef = _LD(self.c) / (g + 1)
+        avg = np.empty((q, b), dtype=_LD)
         with np.errstate(over="ignore"):
             hi = np.exp2(-(g * steps[:q]) * b)
             # hi grows with q where it overflows, so its inf rows come last; a
             # NaN gamma (hi NaN, not inf) multiplies through
             rows = int(np.count_nonzero(hi != np.inf))
-            scale = np.multiply.outer(hi[:rows], np.exp2(-g * steps))
-            for avg, coef in ((i_avg, _LD(self.c) / (g + 1)),
-                              (j_avg, _LD(self.c) * np.expm1((g + 1) * np.log(_LD(2))) / (g + 1))):
-                np.multiply(coef, scale, out=avg[:rows])
-                avg[rows:] = coef * _LD(np.inf)
-        i_avg, j_avg = (a.reshape(-1)[: n_max + 1] for a in (i_avg, j_avg))
-        j_avg[0] = np.nan
-        return i_avg, j_avg
+            np.multiply.outer(coef * hi[:rows], np.exp2(-g * steps), out=avg[:rows])
+            avg[rows:] = coef * _LD(np.inf)
+        return avg.reshape(-1)[: n_max + 1]
 
     def log_shell_masses(self, n_max: int):
         """log of the shell masses |J_n|*<g>_{J_n}, n = 0..n_max (entry 0 is nan)."""
@@ -378,8 +359,7 @@ class LogPowerOverX(Density):
     def _spine_averages(self, n_max: int):
         k = np.arange(n_max + 1)
         masses = (self.c * LN2 / (self.s - 1.0) * (1.0 + k) ** (1.0 - self.s)).astype(_LD)
-        i_avg = masses * np.exp2(k.astype(_LD))
-        return i_avg, np.concatenate(([np.nan], 2.0 * i_avg[:-1] - i_avg[1:]))
+        return masses * np.exp2(k.astype(_LD))
 
     def spine_mass(self, k: int) -> float:
         if self.s <= 1.0:
@@ -467,7 +447,7 @@ class LogPowerPlain(ShellwiseDensity):
 
 @dataclass(frozen=True)
 class SignModulate(ShellwiseDensity):
-    """Multiply by the sign (-1)^(n-1) on the shell J_n = [2^-n, 2^(1-n))."""
+    """Multiply a shell-wise or Constant inner by (-1)^(n-1) on J_n = [2^-n, 2^(1-n))."""
 
     inner: Density
 

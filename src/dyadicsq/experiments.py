@@ -26,7 +26,7 @@ from .families import (
     lerner_family,
     power_pair,
 )
-from .squarefn import FULL_TREE_MAX_DEPTH, partial_mass_profile, weighted_snorm
+from .squarefn import FULL_TREE_MAX_DEPTH, NonFiniteTermError, partial_mass_profile, weighted_snorm
 
 DEFAULT_J_RANGE = range(3, 9)
 # the sweep tail tolerance: at beta = 1 - 2^-8 the extended-precision spine
@@ -383,7 +383,13 @@ def direct_sum_divergence(p: float, k_max: int) -> Report:
         raise ValueError("p must be > 2")
     odd = 2 * np.arange(k_max, dtype=np.int64) + 1
     fnorm_terms = odd.astype(float) ** (-p / 2.0)
-    snorm_terms = direct_sum_block_snorm_p(odd, p)
+    # past p = 100 the series overflows where its factors underflow: a
+    # non-finite term raises, as in weighted_snorm
+    with np.errstate(over="ignore", invalid="ignore"):
+        snorm_terms = direct_sum_block_snorm_p(odd, p)
+    if (bad := np.flatnonzero(~np.isfinite(snorm_terms))).size:
+        raise NonFiniteTermError(f"non-finite snorm term {snorm_terms[bad[0]]} of block "
+                                 f"{odd[bad[0]]}, p {p}")
     Ks = _log_spaced_ks(k_max, 120)
     fnorm_partial = np.cumsum(fnorm_terms)[Ks - 1]
     snorm_partial = np.cumsum(snorm_terms)[Ks - 1]

@@ -113,9 +113,11 @@ def power_pair(p: float, beta: float, variant: str) -> FamilyInstance:
         }
     elif variant == "ii":
         w, sigma = Power(1.0, beta * (p - 1.0)), Power(1.0, -beta)
+        with np.errstate(over="ignore"):  # inf past the largest double, where float ** raises
+            grows = float(np.float64(1.0 - beta) ** (1.0 - p))
         predicted = {
             "joint_ap_slope": p - 1.0,
-            "spine_product": (1.0 + beta * (p - 1.0)) ** -1.0 * (1.0 - beta) ** (1.0 - p),
+            "spine_product": (1.0 + beta * (p - 1.0)) ** -1.0 * grows,
         }
     else:
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
@@ -264,7 +266,15 @@ def check_extension_hypotheses(inst: FamilyInstance, x0: float) -> dict:
     wm = np.array([inst.w.spine_mass(int(k)) for k in ks])
     sm = np.array([inst.sigma.spine_mass(int(k)) for k in ks])
     lens = 0.5 ** ks
-    ratios = wm[:, None] * sm[None, :] ** (p - 1.0) / (lens[:, None] + lens[None, :]) ** p
+    total = lens[:, None] + lens[None, :]
+    # averages over the joint length, which stay in range where its p-th power
+    # does not; a ratio that still overflows, or comes out 0 * inf, raises
+    with np.errstate(all="ignore"):
+        ratios = wm[:, None] / total * (sm[None, :] / total) ** (p - 1.0)
+    if (bad := np.argwhere(~np.isfinite(ratios))).size:
+        k, l = bad[0]
+        raise ExtensionHypothesisError(
+            f"hypothesis (ii) ratio {ratios[k, l]} at (k, l) = ({k}, {l}) is not a finite double")
     half = ratios[: _K_GRID // 2 + 1, : _K_GRID // 2 + 1]
     full_max, half_max = float(ratios.max()), float(half.max())
     if full_max > 1.05 * half_max:

@@ -88,11 +88,12 @@ def _left_squares(g: Density, n_max: int):
     prev, carry = None, _LD(0)
     for block in g.spine_blocks(n_max):
         d = np.empty(block.size, dtype=_LD)
-        np.subtract(block[1:], block[:-1], out=d[1:])
-        d[0] = 0 if prev is None else block[0] - prev
-        d *= d
-        d[0] += carry
-        np.cumsum(d, out=d)
+        with np.errstate(over="ignore", invalid="ignore"):  # weighted_snorm raises on them
+            np.subtract(block[1:], block[:-1], out=d[1:])
+            d[0] = 0 if prev is None else block[0] - prev
+            d *= d
+            d[0] += carry
+            np.cumsum(d, out=d)
         carry, prev = d[-1], block[-1]
         yield d
 

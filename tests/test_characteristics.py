@@ -23,7 +23,7 @@ from dyadicsq.characteristics import (
     spine_joint_ap,
     spine_joint_ap_values,
 )
-from dyadicsq.density import Constant, Density, PeriodicReflect, Power
+from dyadicsq.density import Constant, Density, PeriodicReflect, PiecewiseDyadic, Power
 
 
 def _one_span_scan(w, sigma, p, span, grid_step):
@@ -616,10 +616,31 @@ def _root_max(root_max):
     return unittest.mock.patch.object(ch, "RADIAL_ROOT_MAX", root_max)
 
 
+def _closed_form_shells(sigma, n_max):
+    """The averages over J_1..J_(n_max) at 1..n_max, NaN at 0, each from its
+    own formula, never from the spine: c (2^(gamma+1) - 1)/(gamma+1) 2^(-gamma n)
+    for a Power (with expm1, exact to a few extended ulps), c for a Constant,
+    and the shell masses of a gluing."""
+    out = np.full(n_max + 1, np.nan, dtype=np.longdouble)
+    if isinstance(sigma, Power):
+        g = np.longdouble(sigma.gamma)
+        coef = np.longdouble(sigma.c) * np.expm1((g + 1) * np.log(np.longdouble(2))) / (g + 1)
+        with np.errstate(over="ignore"):
+            out[1:] = coef * np.exp2(-g * np.arange(1, n_max + 1, dtype=np.longdouble))
+    elif isinstance(sigma, Constant):
+        out[1:] = sigma.c
+    else:
+        assert isinstance(sigma, PiecewiseDyadic)
+        out[1:] = sigma._shell_avgs(1, n_max)
+    return out
+
+
 def _per_root_radial(sigma, n_max, root_max):
-    """The per-root radial A_infty, with max() (which drops a NaN candidate)."""
+    """The per-root radial A_infty with the shells of their closed forms,
+    with max() (which drops a NaN candidate)."""
     best = 0.0
-    for _, value in _per_root_candidates(*sigma.spine_averages(n_max), n_max, root_max):
+    spine = sigma.spine_averages(n_max), _closed_form_shells(sigma, n_max)
+    for _, value in _per_root_candidates(*spine, n_max, root_max):
         best = max(best, value)
     return best
 
@@ -645,6 +666,8 @@ _RADIAL_SIGMAS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(_RADIAL_SIGMAS, st.integers(1, 900), st.integers(0, 40))
 def test_radial_ainfty_is_the_per_root_reference(sigma, n_max, root_max):
+    # the radial derives its shells from the spine, the reference takes them
+    # from their closed forms: see test_the_derived_shells_give_the_per_root_outcome
     if isinstance(sigma, str):
         sigma = _family_weights()[sigma]
     with _root_max(root_max):
@@ -655,11 +678,11 @@ def test_radial_ainfty_is_the_per_root_reference(sigma, n_max, root_max):
 class _SpineStub:
     """A density that is nothing but the spine averages it was given."""
 
-    def __init__(self, i_avg, j_avg):
-        self.i_avg, self.j_avg = i_avg, j_avg
+    def __init__(self, i_avg):
+        self.i_avg = i_avg
 
     def spine_averages(self, n_max):
-        return self.i_avg, self.j_avg
+        return self.i_avg
 
 
 def _outcome(f):
@@ -688,11 +711,13 @@ def _checked_reference(i_avg, j_avg, n_max, root_max):
 
 
 def _radial_outcomes(i_avg, j_avg, n_max, root_max):
-    """(suffix pass, per-root reference) outcomes of one spine."""
-    stub = _SpineStub(i_avg, j_avg)
+    """(suffix pass, per-root reference) outcomes of one spine whose shell
+    averages j_avg stand in for those the radial derives from i_avg."""
+    stub = _SpineStub(i_avg)
     with np.errstate(all="ignore"):
         want = _outcome(lambda: _checked_reference(i_avg, j_avg, n_max, root_max))
-        with _root_max(root_max):
+        with _root_max(root_max), unittest.mock.patch.object(ch, "_shell_averages",
+                                                             lambda _: j_avg):
             got = _outcome(lambda: dyadic_ainfty(stub, mode="radial", n_max=n_max).value)
     return got, want
 
@@ -831,57 +856,109 @@ def test_radial_ainfty_of_a_power_past_the_cut_is_the_per_root_reference(n_max, 
     # x^-0.4 rises, x^0.5 falls; both spines stay finite to n_max 32768
     sigma = Power(1.0, gamma)
     got = dyadic_ainfty(sigma, mode="radial", n_max=n_max).value
-    want = _checked_reference(*sigma.spine_averages(n_max), n_max, ch.RADIAL_ROOT_MAX)
+    want = _checked_reference(sigma.spine_averages(n_max), _closed_form_shells(sigma, n_max),
+                              n_max, ch.RADIAL_ROOT_MAX)
     _assert_within_rounding(got, want, n_max, ch.RADIAL_ROOT_MAX)
 
 
 def test_radial_nan_in_the_deepest_shell_raises_at_root_0():
-    # every root's table holds the NaN of the deepest shell, root I_0's too
+    # a NaN deepest average I_64 is copied into J_64, the deepest shell, which
+    # every root's table holds, root I_0's too
     i_avg = np.full(65, np.longdouble(1.0))
-    j_avg = np.full(65, np.longdouble(1.0))
-    j_avg[0] = j_avg[64] = np.nan
+    i_avg[64] = np.nan
+    assert np.isnan(ch._shell_averages(i_avg)[[0, 64]]).all()
     with pytest.raises(NonFiniteCandidateError, match="root I_0, n_max 64$"):
-        dyadic_ainfty(_SpineStub(i_avg, j_avg), mode="radial", n_max=64)
+        dyadic_ainfty(_SpineStub(i_avg), mode="radial", n_max=64)
 
 
 def test_radial_nan_lifted_by_a_shallower_root_stays_with_its_root():
-    # -inf at I_6 and J_7 and +inf at J_8 make root 6's sum NaN; I_5 = 1
-    # lifts the -inf, so roots 0..5 are inf and the NaN is root 6's alone;
-    # the A_infty raises at the first of them, root I_0
+    # -inf at I_6 (copied into J_6, and 2 I_6 - I_7 = -inf at J_7) and +inf at
+    # I_8 (copied into J_8) make root 6's sum NaN; I_5 = 1 lifts the -inf, so
+    # roots 0..5 are inf and the NaN is root 6's alone; the A_infty raises at
+    # the first of them, root I_0
     i_avg = np.full(9, np.longdouble(1.0))
-    j_avg = np.full(9, np.longdouble(1.0))
-    i_avg[6], j_avg[7], j_avg[8], j_avg[0] = -np.inf, -np.inf, np.inf, np.nan
+    i_avg[6], i_avg[8] = -np.inf, np.inf
+    j_avg = ch._shell_averages(i_avg)
+    assert j_avg[6:].tolist() == [-math.inf, -math.inf, math.inf]
     with np.errstate(invalid="ignore"):
         got = ch._radial_candidates(i_avg, j_avg, 8, 6).tolist()
         assert got[:6] == [math.inf] * 6 and math.isnan(got[6]) and len(got) == 7
         with pytest.raises(NonFiniteCandidateError, match="^inf candidate at root I_0, n_max 8$"):
-            dyadic_ainfty(_SpineStub(i_avg, j_avg), mode="radial", n_max=8)
+            dyadic_ainfty(_SpineStub(i_avg), mode="radial", n_max=8)
 
 
 def test_radial_ainfty_of_a_power_raises_where_its_spine_overflows_before_the_cut():
     # the spine of x^-beta, beta = 1 - 2^-11, passes the extended-precision
-    # range before the weights vanish (the cut at 16445): from n_max 16382
-    # its terms sum to inf, which raises, where 1/(2 - 2^beta) ~ 1477.6;
-    # below, the value is the closed form cut at n_max, about 1471.79
+    # range before the weights vanish (the cut at 16445): I_16381 is the
+    # first inf, which the radial reads as J_16381 (a non-finite I_(k+1) is
+    # copied into J_(k+1)), so from n_max 16381 its terms sum to inf, which
+    # raises, where 1/(2 - 2^beta) ~ 1477.6; below, the value is the closed
+    # form cut at n_max, about 1471.79
     beta = 1.0 - 2.0 ** -11
     sigma = Power(1.0, -beta)
-    want = (1.0 - 2.0 ** (-(1.0 - beta) * 16381)) / (2.0 - 2.0 ** beta)
-    assert dyadic_ainfty(sigma, mode="radial", n_max=16381).value == pytest.approx(want, rel=1e-12)
-    for n_max in (16382, 16400, 16445):
+    want = (1.0 - 2.0 ** (-(1.0 - beta) * 16380)) / (2.0 - 2.0 ** beta)
+    assert dyadic_ainfty(sigma, mode="radial", n_max=16380).value == pytest.approx(want, rel=1e-12)
+    for n_max in (16381, 16382, 16400, 16445):
         with pytest.raises(NonFiniteCandidateError,
                            match=f"^inf candidate at root I_0, n_max {n_max}$"):
             dyadic_ainfty(sigma, mode="radial", n_max=n_max)
 
 
+def _growth_spines():
+    """(weight, n_max) of the ainfty-growth sweep j = 3..10 at p = 3 (x^-beta
+    and x^(beta/2), beta = 1 - 2^-j, n_max = 16 * 2^j), and x^-beta at
+    beta = 1 - 2^-11 at the depths where its spine overflows: before the
+    cut (16400, 16445) and past it (32768)."""
+    for j in range(3, 11):
+        beta = 1.0 - 2.0 ** -j
+        yield from ((Power(1.0, -beta), 16 * 2 ** j), (Power(1.0, beta / 2.0), 16 * 2 ** j))
+    yield from ((Power(1.0, 2.0 ** -11 - 1.0), n_max) for n_max in (16400, 16445, 32768))
+
+
+@pytest.mark.parametrize("sigma, n_max", list(_growth_spines()), ids=repr)
+def test_the_derived_shells_give_the_per_root_outcome(sigma, n_max):
+    # The radial derives J_(k+1) = 2 I_k - I_(k+1); the reference is fed the
+    # closed-form shells.  Where a term max(C_m[k], J_(k+1)) takes J, J >= C
+    # >= I_k and I_(k+1) = 2 I_k - J <= 2 J, so the derived J, from averages
+    # within 4 extended ulps u each, is within (8 + 8 + 1) u of J; where it
+    # takes C, a derived J above C differs from C by no more.  With the
+    # closed form's own few ulps that is below 2^-59 of each term, inside the
+    # 2^-53 per side that _rounding allows for the final rounding to double.
+    # On the growing x^-beta the derived J cancels (about j bits are lost at
+    # beta = 1 - 2^-j), but there J_(k+1) = (2 - 2^beta) I_k < I_k is never
+    # taken.  The overflowed spines raise the same message on both sides.
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: dyadic_ainfty(sigma, mode="radial", n_max=n_max).value)
+        want = _outcome(lambda: _checked_reference(
+            sigma.spine_averages(n_max), _closed_form_shells(sigma, n_max), n_max,
+            ch.RADIAL_ROOT_MAX))
+    _assert_same_outcome(got, want, n_max, ch.RADIAL_ROOT_MAX)
+
+
+def test_the_derived_shells_raise_one_shell_before_the_closed_form_ones():
+    # at n_max 16381 only the deepest average I_16381 of x^-beta, beta =
+    # 1 - 2^-11, has overflowed: the closed-form J_16381 is finite, and the
+    # derived one is that inf copied, so the radial raises where the
+    # reference fed the closed form gives its value cut at n_max
+    sigma, n_max = Power(1.0, 2.0 ** -11 - 1.0), 16381
+    i_avg = sigma.spine_averages(n_max)
+    assert np.isfinite(i_avg[:-1]).all() and i_avg[-1] == np.inf
+    assert ch._shell_averages(i_avg)[-1] == np.inf
+    want = _checked_reference(i_avg, _closed_form_shells(sigma, n_max), n_max, ch.RADIAL_ROOT_MAX)
+    assert want == pytest.approx(1471.79, rel=1e-5)
+    with pytest.raises(NonFiniteCandidateError, match=f"^inf candidate at root I_0, n_max 16381$"):
+        dyadic_ainfty(sigma, mode="radial", n_max=n_max)
+
+
 def test_radial_zero_over_zero_reports_the_smallest_root():
-    # the roots from I_5 down see only zero averages: 0/0 there, finite above
+    # the roots from I_5 down see only zero averages (and zero shells
+    # J_6.., 2 * 0 - 0): 0/0 there, finite above
     i_avg = np.full(33, np.longdouble(1.0))
-    j_avg = np.full(33, np.longdouble(1.0))
-    i_avg[5:] = j_avg[6:] = 0.0
-    j_avg[0] = np.nan
+    i_avg[5:] = 0.0
+    assert not ch._shell_averages(i_avg)[6:].any()
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteCandidateError, match="root I_5, n_max 32$"):
-            dyadic_ainfty(_SpineStub(i_avg, j_avg), mode="radial", n_max=32)
+            dyadic_ainfty(_SpineStub(i_avg), mode="radial", n_max=32)
 
 
 def _power_sweep(j):

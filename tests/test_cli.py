@@ -171,8 +171,7 @@ def test_nan_characteristic_is_a_precondition_error(tmp_path, monkeypatch, capsy
     def holed(self, n_max):
         if n_max < 32768:
             return build(self, n_max)
-        nan = np.full(n_max + 1, np.nan, dtype=np.longdouble)
-        return nan, nan.copy()
+        return np.full(n_max + 1, np.nan, dtype=np.longdouble)
 
     monkeypatch.setattr(Power, "_spine_averages", holed)
     out = tmp_path / "g.csv"
@@ -246,6 +245,60 @@ def test_an_ainfty_growth_sweep_with_an_inf_candidate_exits_3(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
     assert capsys.readouterr().err == ("# error code=3 type=NonFiniteCandidateError "
                                        'message="inf candidate at root I_0, n_max 16400"\n')
+    assert not out.exists()
+
+
+# exit-3 paths past the double or extended-precision range: the error line
+# alone on stderr, no traceback and no numpy warning above it
+_OUT_OF_RANGE = {
+    # (1 - beta)^(1 - p) of the spine-product closed form is inf, not an
+    # OverflowError; the dyadic joint A_p raises on its inf product
+    "characteristics_p160": (
+        ["characteristics", "--family", "power_pair_ii", "--beta", "0.99", "--p", "160",
+         "--depth", "10"],
+        "NonFiniteCandidateError", "inf candidate at roots of level 0, depth 10"),
+    "characteristics_p150": (
+        ["characteristics", "--family", "power_pair_ii", "--beta", "0.99", "--p", "150",
+         "--depth", "10"],
+        "NonFiniteCandidateError", "inf candidate at roots of level 1, depth 10"),
+    # hypothesis (ii): the ratio's factors over- and underflow, which no
+    # check may pass on
+    "hypothesis_ii_p40": (
+        ["extension-check", "--family", "power_pair_ii", "--beta", "0.9", "--p", "40",
+         "--span", "1", "--grid-log2", "6"], "ExtensionHypothesisError",
+        "hypothesis (ii) ratio inf at (k, l) = (27, 27) is not a finite double"),
+    # a singular probe whose float power overflows is an inf candidate
+    "singular_probe_p30": (
+        ["extension-check", "--family", "power_pair_ii", "--beta", "0.8", "--p", "30",
+         "--span", "1", "--grid-log2", "6"], "NonFiniteCandidateError",
+        "inf candidate at singular probe [-2, -1.9999999999997726), span 2"),
+    # the direct-sum series past p = 100
+    "divergence_p150": (
+        ["divergence", "--family", "direct_sum", "--p", "150", "--k-max", "1000"],
+        "NonFiniteTermError", "non-finite snorm term nan of block 1, p 150.0"),
+    # overflowed spines: square differences, and the spine joint A_p
+    "square_function_lerner": (
+        ["square-function", "--family", "lerner", "--p", "3", "--beta", "0.875",
+         "--n-max", "131072"], "NonFiniteTermError",
+        "non-finite snorm term inf at shell J_9360, n_max 131072"),
+    "scaling_lerner": (
+        ["scaling", "--family", "lerner", "--p", "3", "--beta-grid", "j=3..9"],
+        "NonFiniteTermError", "non-finite snorm term inf at shell J_8200, n_max 16384"),
+    "scaling_alternating": (
+        ["scaling", "--family", "alternating", "--p", "1.5", "--beta-grid", "j=3..10"],
+        "NonFiniteCandidateError", "nan candidate at spine interval I_16391, n_max 32768"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE))
+def test_an_out_of_range_command_prints_only_its_error_line(tmp_path, capsys, name):
+    argv, kind, message = _OUT_OF_RANGE[name]
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--out", str(out), "--no-timestamp"])
+    assert code == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f'# error code=3 type={kind} message="{message}"\n'
     assert not out.exists()
 
 

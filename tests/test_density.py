@@ -65,7 +65,7 @@ def test_average_sign_modulated_constant_on_spine():
         assert average(g, spine(k)) == pytest.approx((-1.0) ** k / 3.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("inner", [Constant(1.0), LogPowerPlain(0.4), Power(1.0, -0.5)])
+@pytest.mark.parametrize("inner", [Constant(1.0), LogPowerPlain(0.4)])
 def test_sign_modulate_has_the_sign_of_its_shell_from_the_left_end(inner):
     # J_n = [2^-n, 2^(1-n)) carries the sign (-1)^(n-1), from its left end
     # 2^-n on: the value there and just above is the primitive's slope
@@ -130,7 +130,7 @@ def test_closed_form_matches_quadrature(g):
 
 
 def test_sign_modulate_magnitude_preserves_shell_mass():
-    inner = Power(1.0, -0.3)
+    inner = LogPowerPlain(0.3)
     g = SignModulate(inner)
     for n in range(1, 15):
         signed = g.integrate(0.5 ** n, 0.5 ** (n - 1))
@@ -188,17 +188,14 @@ def test_point_zero_convention():
 def _generic_spine_averages(g, n_max):
     """Spine averages through ``primitive`` at 2^-k, with no closed form."""
     k = np.arange(n_max + 1)
-    i_avg = np.asarray(g.primitive(np.ldexp(1.0, -k)), dtype=np.longdouble) * np.exp2(
+    return np.asarray(g.primitive(np.ldexp(1.0, -k)), dtype=np.longdouble) * np.exp2(
         np.asarray(k, dtype=np.longdouble))
-    return i_avg, np.concatenate(([np.nan], 2.0 * i_avg[:-1] - i_avg[1:]))
 
 
 def test_spine_averages_generic_vs_closed_form():
     g = Power(1.0, -0.5)
-    i_cf, j_cf = g.spine_averages(40)
-    i_gen, j_gen = _generic_spine_averages(g, 40)
+    i_cf, i_gen = g.spine_averages(40), _generic_spine_averages(g, 40)
     np.testing.assert_allclose(np.asarray(i_cf[1:], float), np.asarray(i_gen[1:], float), rtol=1e-12)
-    np.testing.assert_allclose(np.asarray(j_cf[1:], float), np.asarray(j_gen[1:], float), rtol=1e-11)
 
 
 def test_log_shell_masses_match_shell_mass():
@@ -423,8 +420,6 @@ def _ref_shell_avgs(g, n_hi):
         return g._shell_avgs(1, n_hi)
     if isinstance(g, SignModulate):
         return np.where(n % 2 == 1, 1, -1) * _ref_shell_avgs(g.inner, n_hi)
-    if isinstance(g, (Power, LogPowerOverX)):
-        return g._spine_averages(n_hi)[1][1:]
     assert isinstance(g, Constant)
     return np.full(n_hi, g.c, dtype=np.longdouble)
 
@@ -476,26 +471,19 @@ _FOLDING = sorted(_folding_densities())
 @given(st.sampled_from(_FOLDING), st.integers(0, 900))
 def test_spine_averages_match_the_per_tap_fold(name, n_max):
     g = _folding_densities()[name]
-    i_avg, j_avg = g.spine_averages(n_max)
+    i_avg = g.spine_averages(n_max)
     shells = _ref_shell_avgs(g, n_max + _TAPS)
     want = _per_tap_fold(shells, n_max)
     tol = 1e-17 * np.max(np.abs(want))
     assert np.max(np.abs(i_avg - want)) <= tol
-    assert np.array_equal(j_avg[1:], shells[:n_max])
-
-
-_CLOSED_FORM_INNERS = {"sign_power": SignModulate(Power(1.0, -0.3)),
-                       "sign_log_power_over_x": SignModulate(LogPowerOverX(1.0, 1.2))}
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([*_FOLDING, *_CLOSED_FORM_INNERS]), st.integers(1, 900),
-       st.integers(0, 300))
+@given(st.sampled_from(_FOLDING), st.integers(1, 900), st.integers(0, 300))
 def test_shell_averages_are_independent_of_the_range(name, n_lo, width):
     # the fold asks for its shells block by block; SignModulate takes its
-    # sign from n_lo, odd or even, and its closed-form inners slice their
-    # spines, whose formulas are elementwise in the shell
-    g = {**_folding_densities(), **_CLOSED_FORM_INNERS}[name]
+    # sign from n_lo, odd or even, and its Constant inner fills the range
+    g = _folding_densities()[name]
     n_hi = min(n_lo + width, 1000)
     got = g._shell_avgs(n_lo, n_hi)
     assert _same_floats(got, _ref_shell_avgs(g, n_hi)[n_lo - 1 :])
@@ -605,7 +593,7 @@ def test_the_mass_form_fold_is_the_exact_suffix_sum_within_its_rounding_bound(si
     shells = _fold_input(size, seed, signs, specials)
     kept = shells.copy()
     with np.errstate(invalid="ignore"):  # inf - inf
-        got, _ = _GivenShells(shells).spine_averages(size - _TAPS)
+        got = _GivenShells(shells).spine_averages(size - _TAPS)
     assert got.size == size - _TAPS + 1 and _same_floats(shells, kept)
     finite = np.isfinite(shells)
     for b, m, end in _fold_blocks_read(size - _TAPS):
@@ -622,7 +610,7 @@ def test_a_fold_output_over_a_nan_or_both_infinities_is_nan(size, seed, signs, s
     # other infinity is read too; finite taps never overflow the scaled sums
     shells = _fold_input(size, seed, signs, specials)
     with np.errstate(invalid="ignore"):
-        got, _ = _GivenShells(shells).spine_averages(size - _TAPS)
+        got = _GivenShells(shells).spine_averages(size - _TAPS)
     for b, m, end in _fold_blocks_read(size - _TAPS):
         # the specials among taps k..end-1, by suffix counts
         nan, pos, neg = (np.cumsum(f(shells[b:end])[::-1])[::-1][:m] > 0
@@ -637,26 +625,24 @@ def test_a_deep_signed_log_power_spine_is_the_exact_suffix_sum_at_sampled_output
     # the first and last output, the last of the first block, and 40 more
     n_max = 10 ** 6
     g = SignModulate(LogPowerPlain(0.4))
-    i_avg, j_avg = g.spine_averages(n_max)
+    i_avg = g.spine_averages(n_max)
     shells = _ref_shell_avgs(g, n_max + _TAPS).astype(np.longdouble)  # double shells, exactly
-    assert _same_floats(j_avg[1:], shells[:n_max])
     sampled = {0, _BLOCK - 1, n_max, *np.random.default_rng(16).integers(0, n_max + 1, 40).tolist()}
     for b, m, end in _fold_blocks_read(n_max):
         _exact_fold_check(i_avg, shells, b, [k for k in sampled if b <= k < b + m], end)
 
 
-@pytest.mark.parametrize("inner", [Constant(2.0), Power(1.0, -0.5), LogPowerOverX(1.0, 1.2),
-                                   LogPowerPlain(0.4)], ids=repr)
+@pytest.mark.parametrize("inner", [Constant(2.0), LogPowerPlain(0.4)], ids=repr)
 def test_sign_modulate_leaves_its_inner_arrays_unchanged(inner):
     # SignModulate negates its inner's shell averages in place, so the inner
     # must hand out a fresh array, never its kept spine
     n_hi = 300 + _TAPS
     spine = inner.spine_averages(n_hi)
-    kept = [a.copy() for a in spine]
+    kept = spine.copy()
     shells = inner._shell_avgs(1, n_hi).copy()
     SignModulate(inner).spine_averages(300)
     assert inner.spine_averages(n_hi) is spine
-    assert all(_same_floats(a, b) for a, b in zip(spine, kept))
+    assert _same_floats(spine, kept)
     assert _same_floats(inner._shell_avgs(1, n_hi), shells)
 
 
@@ -665,12 +651,11 @@ def test_spine_averages_are_read_only_and_built_once_per_n_max(monkeypatch):
     g = Power(1.0, -0.5)
     first = g.spine_averages(64)
     assert g.spine_averages(64) is first and calls[id(g)] == 1
-    for a in first:
-        with pytest.raises(ValueError, match="read-only"):
-            a[1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        first[1] = 0.0
     g.spine_averages(65)
     assert g.spine_averages(64) is not first and calls[id(g)] == 3
-    assert all(_same_floats(a, b) for a, b in zip(g.spine_averages(64), first))
+    assert _same_floats(g.spine_averages(64), first)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dyadicsq.experiments import (
     ainfty_growth_experiment,
     scaling_experiment,
 )
-from dyadicsq.squarefn import weighted_snorm
+from dyadicsq.squarefn import NonFiniteTermError, weighted_snorm
 
 
 def test_exponent_fit_exact():
@@ -152,6 +152,16 @@ def test_direct_sum_divergence_report():
     assert rep.columns["fnorm_p_tail_bound"][-1] < 1e-3
     fit = rep.fits["snorm_p_partial"]
     assert fit.slope > 0 and fit.max_residual < 0.1
+
+
+def test_a_non_finite_direct_sum_series_raises_at_its_first_block():
+    # past p = 100 the series' Gamma(s+1) a^-(s+1) and n^s overflow where
+    # their factors underflow: every term is NaN, which raises, not a table
+    # of NaN cells; at p = 100 every term is finite
+    with pytest.raises(NonFiniteTermError, match=r"^non-finite snorm term nan of block 1, p 150"):
+        divergence_experiment("direct_sum", 150.0, k_max=1000)
+    rep = divergence_experiment("direct_sum", 100.0, k_max=1000)
+    assert np.isfinite(rep.columns["snorm_p_partial"]).all()
 
 
 def test_lai_treil_divergence_report():

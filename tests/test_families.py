@@ -213,3 +213,24 @@ def test_extension_hypothesis_failure_detected():
     bad = FamilyInstance("bad", 2.0, Power(1.0, -0.9), Power(1.0, -0.9), None, None, {})
     with pytest.raises(ExtensionHypothesisError):
         check_extension_hypotheses(bad, 0.5)
+
+
+@pytest.mark.parametrize("p, want", [(3.0, 3.0665998706774857), (25.0, 2.1534), (30.0, 2.1060),
+                                     (40.0, 2.0359)])
+def test_hypothesis_ii_ratio_is_finite_at_large_p(p, want):
+    # (wm/L) (sm/L)^(p-1), L = |I_k| + |I_l|: the joint length's p-th power
+    # underflowed from p = 30 in wm sm^(p-1) / L^p, and a NaN ratio passed
+    got = check_extension_hypotheses(power_pair(p, 0.9, "i"), 0.5)["hyp2_max_ratio"]
+    assert got == pytest.approx(want, rel=1e-15 if p == 3.0 else 1e-4)
+
+
+def test_a_non_finite_hypothesis_ii_ratio_raises():
+    # power_pair_ii at p = 40: (sm/L)^(p-1) overflows where wm/L underflows
+    with pytest.raises(ExtensionHypothesisError, match=r"^hypothesis \(ii\) ratio inf at "):
+        check_extension_hypotheses(power_pair(40.0, 0.9, "ii"), 0.5)
+
+
+def test_the_spine_product_past_the_largest_double_is_inf():
+    # (1 - beta)^(1 - p) = 100^159 is past the largest double: inf, no OverflowError
+    assert power_pair(160.0, 0.99, "ii").predicted["spine_product"] == math.inf
+    assert power_pair(3.0, 0.5, "ii").predicted["spine_product"] == 2.0

@@ -14,6 +14,7 @@ from dyadicsq.density import (
     ShellwiseDensity,
     SignModulate,
 )
+from dyadicsq.characteristics import _shell_averages as derived_shells
 from dyadicsq.dyadic import DyadicInterval, spine
 from dyadicsq.squarefn import (
     NonFiniteTermError,
@@ -60,7 +61,7 @@ def test_spine_profile_alternating_closed_forms():
     prof = spine_profile(ALT_SF, 64)
     for n in range(1, 65):
         assert float(prof.s[n]) == pytest.approx((2.0 / 3.0) * math.sqrt(n), rel=1e-13)
-    d = np.diff(ALT_SF.spine_averages(64)[0])
+    d = np.diff(ALT_SF.spine_averages(64))
     np.testing.assert_allclose(np.abs(np.asarray(d, float)), 2.0 / 3.0, rtol=1e-13)
 
 
@@ -74,11 +75,11 @@ def test_spine_profile_log_power_lower_bound():
     # s_(k+1) >= |Delta_{I_k}| then has the same floor
     r = 0.4
     g = SignModulate(LogPowerPlain(r))
-    i_avg, j_avg = g.spine_averages(2000)
+    i_avg, j_avg = g.spine_averages(2000), g._shell_avgs(1, 2000)
     k = np.arange(2000)
     floor = 1.0 / (4.0 * (k + 2.0) ** r)
     assert np.all(np.abs(np.asarray(i_avg[1:] - i_avg[:-1], float)) >= floor)
-    assert np.all(np.abs(np.asarray(j_avg[1:] - i_avg[:-1], float)) >= floor)
+    assert np.all(np.abs(np.asarray(j_avg - i_avg[:-1], float)) >= floor)
     assert np.all(np.asarray(spine_profile(g, 2000).s[1:], float) >= floor)
 
 
@@ -166,32 +167,32 @@ def test_weighted_snorm_full_vs_spine_alternating():
 class _Spine(Density):
     """A density that is nothing but the spine averages it was given."""
 
-    def __init__(self, i_avg, j_avg):
-        self.avgs = i_avg, j_avg
+    def __init__(self, i_avg):
+        self.i_avg = i_avg
 
     def _spine_averages(self, n_max):
-        return tuple(a[: n_max + 1].copy() for a in self.avgs)
+        return self.i_avg[: n_max + 1].copy()
 
 
 def _alternating_spine(n_max):
-    return tuple(a.copy() for a in ALT_SF.spine_averages(n_max))
+    return ALT_SF.spine_averages(n_max).copy()
 
 
 @pytest.mark.parametrize("shell, value", [(5, np.nan), (7, np.inf), (400, np.nan)])
 def test_weighted_snorm_raises_on_a_non_finite_term(shell, value):
     # I_shell enters the snorm first through d_(shell-1), on J_shell
-    i_avg, j_avg = _alternating_spine(400)
+    i_avg = _alternating_spine(400)
     i_avg[shell] = value
     with pytest.raises(NonFiniteTermError, match=f"shell J_{shell}, n_max 400$"):
-        weighted_snorm(_Spine(i_avg, j_avg), Power(1.0, -0.5), 4.0, n_max=400)
+        weighted_snorm(_Spine(i_avg), Power(1.0, -0.5), 4.0, n_max=400)
 
 
 def test_weighted_snorm_drops_a_zero_term():
     # I_1 averaging what I_0 does makes s_1 = 0, a term of -inf in log
     p, w = 4.0, Power(1.0, -0.5)
-    i_avg, j_avg = _alternating_spine(400)
+    i_avg = _alternating_spine(400)
     i_avg[1] = i_avg[0]
-    g = _Spine(i_avg, j_avg)
+    g = _Spine(i_avg)
     s = spine_profile(g, 400).s
     assert s[1] == 0.0
     terms = np.asarray(s[2:], dtype=float) ** p * np.exp(w.log_shell_masses(400)[2:])
@@ -249,7 +250,7 @@ def test_partial_mass_profile_uses_the_left_squares_of_the_profile():
     p, r = 3.0, 0.4
     w = LogPowerOverX(1.0, 2.0 - 2.0 * r)
     g = SignModulate(LogPowerPlain(r))
-    rebuilt = _eager_left_squares(g.spine_averages(5000)[0])
+    rebuilt = _eager_left_squares(g.spine_averages(5000))
     assert np.array_equal(spine_profile(g, 5000).left_squares, rebuilt)
     ks = np.unique(np.geomspace(1, 5000, 60).astype(int))
     ks = np.concatenate([[0], ks])
@@ -269,7 +270,7 @@ def test_the_streamed_partial_masses_are_the_eager_ones(k_max, p, data):
     r = data.draw(st.floats(1.0 / p, 0.5, exclude_min=True, exclude_max=True), label="r")
     g, w = SignModulate(LogPowerPlain(r)), LogPowerOverX(1.0, 2.0 - 2.0 * r)
     assume(w.s > 1.0)  # 2 - 2r rounds to 1 for r within an ulp of 1/2
-    left_squares = _eager_left_squares(g.spine_averages(k_max)[0])
+    left_squares = _eager_left_squares(g.spine_averages(k_max))
     ks = np.arange(k_max + 1)
     want = [float(left_squares[k] ** (p / 2.0)) * w.spine_mass(int(k)) for k in ks]
     assert partial_mass_profile(g, w, p, ks).tolist() == want
@@ -283,7 +284,7 @@ class _BlockedSpine(Density):
         self.i_avg, self.sizes = i_avg, sizes
 
     def spine_averages(self, n_max):
-        return self.i_avg, np.full(self.i_avg.size, np.nan, dtype=np.longdouble)
+        return self.i_avg
 
     def spine_blocks(self, n_max):
         lo = 0
@@ -335,12 +336,34 @@ def _family_densities():
 _FAMILY_DENSITIES = dict(_family_densities())
 
 
+def _shells_of(g, n_max):
+    """The averages over J_1..J_(n_max) at 1..n_max, NaN at 0, from the shells
+    themselves, never from the spine: a shell-wise density's own, and the
+    closed forms of the leaves, c (2^(gamma+1) - 1)/(gamma+1) 2^(-gamma n)
+    (with expm1) for c x^gamma and c ln2/(s-1) 2^n (n^(1-s) - (n+1)^(1-s))
+    for c/(x (1 - log2 x)^s)."""
+    from dyadicsq.density import LogPowerOverX
+
+    out = np.full(n_max + 1, np.nan, dtype=np.longdouble)
+    n, ln2 = np.arange(1, n_max + 1, dtype=np.longdouble), np.log(np.longdouble(2))
+    if isinstance(g, ShellwiseDensity):
+        out[1:] = g._shell_avgs(1, n_max)
+    elif isinstance(g, Power):
+        c, gamma = np.longdouble(g.c), np.longdouble(g.gamma)
+        out[1:] = c * np.expm1((gamma + 1) * ln2) / (gamma + 1) * np.exp2(-gamma * n)
+    else:
+        assert isinstance(g, LogPowerOverX)
+        c, s = np.longdouble(g.c), np.longdouble(g.s)
+        out[1:] = c * ln2 / (s - 1) * np.exp2(n) * (n ** (1 - s) - (n + 1) ** (1 - s))
+    return out
+
+
 @pytest.mark.parametrize("n_max", [4, 257, 4096, 8193])  # 8193: past a fold seam
 @pytest.mark.parametrize("name", sorted(_FAMILY_DENSITIES))
 def test_spine_profile_is_one_cumsum_of_the_spine_differences(name, n_max):
     g = _FAMILY_DENSITIES[name]
     try:
-        i_avg, _ = g.spine_averages(n_max)
+        i_avg = g.spine_averages(n_max)
     except NonIntegrableError:  # beyond the density's spine depth: the profile fails alike
         with pytest.raises(NonIntegrableError):
             spine_profile(g, n_max)
@@ -356,8 +379,9 @@ def test_spine_profile_is_one_cumsum_of_the_spine_differences(name, n_max):
 @pytest.mark.parametrize("name", sorted(_FAMILY_DENSITIES))
 def test_the_spine_square_function_is_the_two_sided_one(name, n_max):
     """s[n] against the two-sided form sqrt(L + e^2), e = J_n - I_(n-1), which
-    reads the J averages; s[n] = sqrt(L + d^2), d = I_n - I_(n-1), with the
-    same float L = left_squares[n-1].
+    reads the shell averages (``_shells_of``, not the spine's);
+    s[n] = sqrt(L + d^2), d = I_n - I_(n-1), with the same float
+    L = left_squares[n-1].
 
     Bound.  x -> sqrt(L + x^2) is 1-Lipschitz in |x|, so the exact forms
     differ by at most ||e| - |d||, which is 0 in exact arithmetic (I_(n-1) is
@@ -370,7 +394,7 @@ def test_the_spine_square_function_is_the_two_sided_one(name, n_max):
     """
     g = _FAMILY_DENSITIES[name]
     try:
-        i_avg, j_avg = g.spine_averages(n_max)
+        i_avg, j_avg = g.spine_averages(n_max), _shells_of(g, n_max)
     except NonIntegrableError:
         return
     u = np.finfo(np.longdouble).eps / 2
@@ -386,13 +410,45 @@ def test_the_spine_square_function_is_the_two_sided_one(name, n_max):
     assert np.all(np.abs(s - old)[fin] <= bound[fin])
 
 
+_SHELLWISE_FAMILY_DENSITIES = sorted(n for n, g in _FAMILY_DENSITIES.items()
+                                     if isinstance(g, ShellwiseDensity))
+
+
+@pytest.mark.parametrize("n_max", [4, 257, 8193])  # 8193: past a fold seam
+@pytest.mark.parametrize("name", _SHELLWISE_FAMILY_DENSITIES)
+def test_the_derived_shell_averages_are_the_folded_shells(name, n_max):
+    """J_(k+1) = 2 I_k - I_(k+1), as the radial A_infty derives it, against
+    the shell averages the fold summed.
+
+    Bound.  Within a fold block I_k = 2^k v_k, with v_k = fl(v_(k+1) + t_k)
+    the mass-form partial sum and t_k = 2^-(k+1) J_(k+1) exact, so
+    v_k - v_(k+1) = t_k + e with |e| <= u |v_k| / (1 - u), and 2 I_k - I_(k+1)
+    = 2^(k+1) (v_k - v_(k+1)) rounds once: within u (2 |I_k| + |J_(k+1)|)
+    (1 + 2u) of J_(k+1).  At a seam I_k and I_(k+1) are separate folds, each
+    within 2^-64 of the sum of its |partial sums| (at most twice the largest
+    |shell| it reads), and I_(k+1) also sums the taps past I_k's last, at most
+    2^-127 of that largest |shell|.  An I_k averages shells with weights
+    summing below 1, so |I_k| is at most that largest |shell| S_k too, and
+    both cases are within 2^-61 S_k.
+    """
+    g = _FAMILY_DENSITIES[name]
+    try:
+        i_avg = g.spine_averages(n_max)
+    except NonIntegrableError:  # beyond the density's spine depth
+        return
+    shells = _shells_of(g, n_max + 8192 + 127)[1:]  # all that the fold reads
+    reach = np.maximum.accumulate(np.abs(shells)[::-1])[::-1][:n_max]
+    derived = derived_shells(i_avg)
+    assert derived.size == n_max + 1 and np.isnan(derived[0])
+    assert np.all(np.abs(derived[1:] - shells[:n_max]) <= 2.0 ** -61 * reach)
+
+
 @pytest.mark.parametrize("k_max", _SEAMS)
-@pytest.mark.parametrize("name", sorted(n for n, g in _FAMILY_DENSITIES.items()
-                                        if isinstance(g, ShellwiseDensity)))
+@pytest.mark.parametrize("name", _SHELLWISE_FAMILY_DENSITIES)
 def test_the_spine_blocks_are_the_spine_averages(name, k_max):
     g = _FAMILY_DENSITIES[name]
     try:
-        i_avg, _ = g.spine_averages(k_max)
+        i_avg = g.spine_averages(k_max)
     except NonIntegrableError:  # beyond the density's spine depth: the blocks fail alike
         with pytest.raises(NonIntegrableError):
             next(g.spine_blocks(k_max))
