@@ -17,8 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .density import Density
 from .squarefn import FULL_TREE_MAX_DEPTH, level_averages
 
-_LD = np.longdouble
-
 #: Deepest spine root I_m of the radial A_infty; for power weights every
 #: root's candidate is the same up to the cut at n_max.
 RADIAL_ROOT_MAX = 24
@@ -63,23 +61,21 @@ def spine_joint_ap(w: Density, sigma: Density, p: float, n_max: int) -> Characte
     """Joint A_p product restricted to the spine intervals I_k, k <= n_max."""
     vals = spine_joint_ap_values(w, sigma, p, n_max)
     if (bad := np.flatnonzero(np.isnan(vals) | (vals == np.inf))).size:
-        raise NonFiniteCandidateError(f"{vals[bad[0]]} candidate at spine interval I_{bad[0]}, "
-                                      f"n_max {n_max}")
+        _checked_max(0.0, float(vals[bad[0]]), f"spine interval I_{bad[0]}, n_max {n_max}")
     return CharacteristicEstimate(float(np.max(vals)))
 
 
 def spine_joint_ap_values(w: Density, sigma: Density, p: float, n_max: int) -> np.ndarray:
     """<w>_{I_k} <sigma>_{I_k}^(p-1) for k <= n_max; 0 where an average is
-    zero or subnormal in extended precision, which has lost its relative
-    precision (the max over the other I_k is still a lower bound)."""
+    zero or subnormal in its spine's number format, which has lost its
+    relative precision (the max over the other I_k is still a lower bound)."""
     # the averages alone overflow extended precision on deep spines; the
     # products stay bounded, so combine them in log space
     iw = w.spine_averages(n_max)
     isig = sigma.spine_averages(n_max)
-    tiny = np.finfo(_LD).tiny
     with np.errstate(divide="ignore", invalid="ignore"):  # inf - inf: spine_joint_ap raises
-        logs = np.log(np.where(iw < tiny, 0, iw)) \
-            + _LD(p - 1.0) * np.log(np.where(isig < tiny, 0, isig))
+        logw, logsig = (np.log(np.where(a < np.finfo(a.dtype).tiny, 0, a)) for a in (iw, isig))
+        logs = logw + (p - 1.0) * logsig
     return np.exp(logs).astype(float)
 
 
@@ -130,11 +126,9 @@ def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tr
 def _ainfty_full_tree(sigma: Density, depth: int) -> CharacteristicEstimate:
     avgs = level_averages(sigma, depth)
     n_leaf = 2 ** depth
-    running = np.repeat(avgs[depth], 1).astype(float)
-    best = 0.0
+    running, best = avgs[depth], 0.0
     for lev in range(depth, -1, -1):
-        anc = np.repeat(avgs[lev], n_leaf // 2 ** lev)
-        running = np.maximum(running, anc) if lev < depth else anc.copy()
+        running = np.maximum(running, np.repeat(avgs[lev], n_leaf // 2 ** lev))
         # integral of the within-root maximal function for every root at lev
         sums = running.reshape(2 ** lev, n_leaf // 2 ** lev).sum(axis=1) / n_leaf
         with np.errstate(all="ignore"):  # an overflowed or 0/0 ratio raises below
@@ -176,14 +170,15 @@ def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
     # terms are tabled, and summed once: O(n_max + top) extended-precision
     # work, plus the led terms that are summed one by one (below).
     #
-    # The cut is the number of weights 2^-(k+1) that are not 0 in extended
-    # precision: halving stays exact down to the least positive longdouble,
-    # a subnormal (2^-16445 with x87 extended precision, 2^-1074 where it
-    # is double), and half of that rounds to 0.  It is found per call, in
-    # microseconds: any longdouble work at import raised the peak RSS of
-    # workloads that never reach here by half a megabyte
-    cut = min(n_max, -int(np.log2(np.nextafter(_LD(0), _LD(1)))))
-    weights = np.cumprod(np.broadcast_to(_LD(0.5), cut))  # 2^-(k+1), the bits of np.ldexp
+    # The cut is the number of weights 2^-(k+1) that are not 0 in the
+    # spine's number format: halving stays exact down to its least positive
+    # value, a subnormal (2^-16445 with x87 extended precision, 2^-1074 in
+    # double), and half of that rounds to 0.  It is found per call, in
+    # microseconds: any extended-precision work at import raised the peak
+    # RSS of workloads that never reach here by half a megabyte
+    real = i_avg.dtype.type
+    cut = min(n_max, -int(np.log2(np.nextafter(real(0), real(1)))))
+    weights = np.cumprod(np.broadcast_to(real(0.5), cut))  # 2^-(k+1), the bits of np.ldexp
     # C_top on [top, n_max), NaN sorting last
     deep = np.maximum.accumulate(i_avg[top:n_max])
     # past the cut the weights are 0: a finite term is exactly 0 and any
@@ -203,8 +198,8 @@ def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
     def from_deep(e):
         """Root top's sum over [e, n_max), e >= top."""
         if e <= last_bad:
-            return _LD(np.nan)
-        return suffix[e - start] if e < cut else _LD(0)
+            return real(np.nan)
+        return suffix[e - start] if e < cut else real(0)
 
     # C_(m+1) is nondecreasing, NaN sorting last: row m of runs, the running
     # maximum of I_(m+1)..I_(top-1) and then a NaN (the column reached when

@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, family=True, beta=False, r=False):
+    def common(sp, family=True, beta=False, r=False, sweep=False):
         sp.add_argument("--p", type=float, required=True)
         sp.add_argument("--out", required=True, help="output CSV path "
                         f"(relative paths resolve under ${OUTDIR_ENV})")
@@ -125,6 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--beta", type=float)
         if r:
             sp.add_argument("--r", type=float)
+        if sweep:  # one beta sweep: a grid or a list, not both
+            grid = sp.add_mutually_exclusive_group()
+            grid.add_argument("--beta-grid")
+            grid.add_argument("--beta-list")
 
     sp = sub.add_parser("characteristics", help="A_p / A_infty estimates for one pair")
     common(sp, beta=True, r=True)
@@ -140,9 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         a.family, a.p, a.n_max, a.tail_rel_tol, beta=a.beta, r=a.r))
 
     sp = sub.add_parser("scaling", help="beta sweep with exponent fits")
-    common(sp)
-    sp.add_argument("--beta-grid")
-    sp.add_argument("--beta-list")
+    common(sp, sweep=True)
     sp.set_defaults(fn=lambda a: scaling_experiment(a.family, a.p, _parse_beta_grid(a)))
 
     sp = sub.add_parser("divergence", help="partial-mass / partial-sum divergence tables")
@@ -158,9 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         a.family, a.p, a.span, 2.0 ** -a.grid_log2, beta=a.beta, r=a.r))
 
     sp = sub.add_parser("ainfty-growth", help="radial A_infty growth sweep")
-    common(sp, family=False)
-    sp.add_argument("--beta-grid")
-    sp.add_argument("--beta-list")
+    common(sp, family=False, sweep=True)
     sp.set_defaults(fn=lambda a: ainfty_growth_experiment(a.p, _parse_beta_grid(a)))
     return parser
 

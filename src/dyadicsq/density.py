@@ -10,11 +10,13 @@ Conventions:
 * all densities except :class:`PeriodicReflect` are supported in [0, 1);
 * ``primitive(t)`` is the mass of [0, t), vectorized over numpy arrays; without
   an antiderivative (:class:`ShellwiseDensity`) it is the mass below the point's
-  shell, cached per instance and shell, plus a vectorized partial shell;
+  shell, summed once per distinct shell of the call, plus a vectorized partial
+  shell;
 * a spine is its I_k averages: ``spine_averages(n_max)`` returns those over
-  I_k = [0, 2^-k), k = 0..n_max, as one read-only extended-precision array
-  (kept on the instance for the last n_max), the workhorse for all deep spine
-  computations; a shell average is 2 <g>_{I_(n-1)} - <g>_{I_n} over
+  I_k = [0, 2^-k), k = 0..n_max, as a fresh array, no cache, in the
+  extended precision ``_LD`` (the one place that names the spine's number
+  format), the workhorse for all deep spine computations; a shell average is
+  2 <g>_{I_(n-1)} - <g>_{I_n} over
   J_n = [2^-n, 2^(1-n)).  Without a closed form (:class:`ShellwiseDensity`)
   the I_k averages are the suffix sums <g>_{I_k} = sum_{m>=1} 2^-m
   <g>_{J_{k+m}}, summed in mass form, from the deepest shell up, by one
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,8 @@ LN2 = math.log(2.0)
 #: decaying averages leave 2^-128.
 _SUFFIX_TAPS = 128
 
+#: The spine's number format, named here alone: every reader of a spine
+#: takes its dtype from the arrays it is given.
 _LD = np.longdouble
 
 #: The largest double below 1.
@@ -103,18 +106,8 @@ class Density:
         return float(self.primitive(min(b, 1.0)) - self.primitive(a))
 
     def spine_averages(self, n_max: int):
-        """The averages over I_k = [0, 2^-k), k = 0..n_max.
-
-        One read-only array, kept on the instance for the last n_max asked
-        for: the characteristics of one call build each weight's spine once.
-        """
-        if (last := self.__dict__.get("_spine")) is None or last[0] != n_max:
-            (spine := self._spine_averages(n_max)).flags.writeable = False
-            self.__dict__["_spine"] = last = (n_max, spine)
-        return last[1]
-
-    def _spine_averages(self, n_max: int):
-        """Fresh spine averages, in closed form or by :class:`ShellwiseDensity`'s fold."""
+        """The averages over I_k = [0, 2^-k), k = 0..n_max, in closed form or
+        by :class:`ShellwiseDensity`'s fold: a fresh array, no cache."""
         raise NotImplementedError
 
     def spine_blocks(self, n_max: int):
@@ -181,16 +174,13 @@ class ShellwiseDensity(Density):
     ``spine_averages`` joins them; an I_k sums the shells down to its block's
     last, so the last block's floats depend on n_max), and the masses of
     [0, 2^-n) suffix sums of the shell masses.  For t in J_n, ``primitive(t)``
-    is the mass below 2^-n plus ``_partial``; those masses are cached on the
-    instance, so each shell is summed once however many points it holds.
+    is the mass below 2^-n plus ``_partial``, that mass summed once per call
+    for each distinct shell, however many points it holds.  Nothing is kept
+    on the instance: every spine is a fresh array, no cache.
     """
 
     #: Deepest spine served.
     _MAX_SPINE: float = math.inf
-
-    @cached_property
-    def _below(self) -> dict[int, float]:
-        return {}
 
     def spine_blocks(self, n_max: int):
         """The I_k averages, k in [b, b + _FOLD_BLOCK) up to n_max, each block
@@ -205,35 +195,31 @@ class ShellwiseDensity(Density):
             m = min(_FOLD_BLOCK, n_max + 1 - b)
             yield _suffix_fold(self._shell_avgs(b + 1, b + m + _SUFFIX_TAPS - 1), down, up)
 
-    def _spine_averages(self, n_max: int):
+    def spine_averages(self, n_max: int):
         return np.concatenate(list(self.spine_blocks(n_max)))
 
-    def _masses_below(self, ns):
-        """Masses of [0, 2^-n) for the shells ns: the _SUFFIX_TAPS shell masses
-        below each, summed in double, largest first.
+    def primitive(self, t):
+        """The mass below the shell of each point, the _SUFFIX_TAPS shell
+        masses below 2^-n summed in double, largest first, plus ``_partial``.
 
         Not the fold: depth-14 dyadic characteristics difference these masses
         over intervals of length 2^-14, so one ulp here moves their values by
         about 1e-12, and the values reported for the glued densities rest on
         this summation order.
         """
-        hi = int(ns.max()) + _SUFFIX_TAPS
-        masses = np.ldexp(self._shell_avgs(1, hi), -np.arange(1, hi + 1)).astype(float)
-        windows = np.lib.stride_tricks.sliding_window_view(masses, _SUFFIX_TAPS)[ns]
-        return np.cumsum(windows, axis=1)[:, -1]
-
-    def primitive(self, t):
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape)
         pos = t_arr > 0.0
+        if not pos.any():
+            return out[()]
         tp = np.minimum(t_arr[pos], 1.0)
         # t in (2^-n, 2^(1-n)]: a power of two 2^-k ends J_(k+1), so n <= 1075
         n = _shell_of(tp) + (np.frexp(tp)[0] == 0.5)
+        hi = int(n.max()) + _SUFFIX_TAPS
+        masses = np.ldexp(self._shell_avgs(1, hi), -np.arange(1, hi + 1)).astype(float)
         shells, at = np.unique(n, return_inverse=True)
-        if new := [k for k in shells.tolist() if k not in self._below]:
-            self._below.update(zip(new, self._masses_below(np.array(new)).tolist()))
-        below = np.array([self._below[k] for k in shells.tolist()])
-        out[pos] = below[at] + self._partial(n, tp)
+        windows = np.lib.stride_tricks.sliding_window_view(masses, _SUFFIX_TAPS)[shells]
+        out[pos] = np.cumsum(windows, axis=1)[at, -1] + self._partial(n, tp)
         return out[()]
 
 
@@ -252,7 +238,7 @@ class Constant(Density):
     def primitive(self, t):
         return self.c * np.asarray(t, dtype=float)
 
-    def _spine_averages(self, n_max: int):
+    def spine_averages(self, n_max: int):
         return np.full(n_max + 1, _LD(self.c))
 
     def _shell_avgs(self, n_lo: int, n_hi: int):  # fresh: SignModulate negates in place
@@ -287,7 +273,7 @@ class Power(Density):
         g1 = self.gamma + 1.0
         return self.c * np.power(t, g1) / g1
 
-    def _spine_averages(self, n_max: int):
+    def spine_averages(self, n_max: int):
         """coef * 2^(-gamma k), k = 0..n_max, with 2^(-gamma k) the table
         2^(-gamma q b) 2^(-gamma j) over k = q b + j, 0 <= j < b, for b the
         power of two with b^2 > n_max.
@@ -356,7 +342,7 @@ class LogPowerOverX(Density):
         pos = t > 0
         return np.where(pos, self.c * LN2 / (self.s - 1.0) * np.where(pos, _u(np.where(pos, t, 0.5)), 1.0) ** (1.0 - self.s), 0.0)
 
-    def _spine_averages(self, n_max: int):
+    def spine_averages(self, n_max: int):
         k = np.arange(n_max + 1)
         masses = (self.c * LN2 / (self.s - 1.0) * (1.0 + k) ** (1.0 - self.s)).astype(_LD)
         return masses * np.exp2(k.astype(_LD))
@@ -488,18 +474,15 @@ class PiecewiseDyadic(ShellwiseDensity):
     def __init__(self, piece_fn, name: str = "piecewise"):
         self._piece_fn = piece_fn
         self._name = name
-        self._pieces: dict[int, tuple[Density, bool] | None] = {}
+        # each shell's mass, which every fold and primitive reads: kept, so
+        # that a block's primitive runs once per shell
         self._masses: dict[int, float] = {}
 
     def piece(self, n: int) -> tuple[Density, bool] | None:
         """The block on J_n and whether it is mirrored, for n >= 1; shells past
         _MAX_SHELL (left end 2^-n = 0 as a double) are empty, their mass being
         below the smallest double."""
-        if not 1 <= n <= _MAX_SHELL:
-            return None
-        if n not in self._pieces:
-            self._pieces[n] = self._piece_fn(n)
-        return self._pieces[n]
+        return self._piece_fn(n) if 1 <= n <= _MAX_SHELL else None
 
     def piece_mass(self, n: int) -> float:
         if n not in self._masses:
@@ -555,6 +538,7 @@ class PeriodicReflect(Density):
 
     def __init__(self, inner: Density):
         self.inner = inner
+        self.unit_mass = float(inner.primitive(1.0))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -566,10 +550,6 @@ class PeriodicReflect(Density):
         u = np.where(at_int, 0.5, u)  # placeholder, overwritten below
         v = self.inner.value(u)
         return np.where(at_int, 1.0, v)
-
-    @cached_property
-    def unit_mass(self) -> float:
-        return float(self.inner.primitive(1.0))
 
     def cumulative(self, xs, x0):
         """Vectorized mass of [x0, x) for an integer anchor x0 <= min(xs), or one per point."""

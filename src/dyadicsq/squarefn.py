@@ -18,8 +18,6 @@ import numpy as np
 from .density import Density
 from .dyadic import DyadicInterval, children
 
-_LD = np.longdouble
-
 #: Deepest full tree (square function, A_infty, CLI characteristics): each
 #: full-tree oracle sweeps its 2^20 leaves in under a second.
 FULL_TREE_MAX_DEPTH = 20
@@ -37,7 +35,7 @@ class NonFiniteTermError(ValueError):
 class SpineProfile:
     """Spine data for a fixed density g = sigma*f.
 
-    left_squares[n] = sum_{j<n} d_j^2  (n = 0..n_max), in extended precision,
+    left_squares[n] = sum_{j<n} d_j^2  (n = 0..n_max), in the spine's dtype,
                       d_j = <g>_{I_(j+1)} - <g>_{I_j}
     s[n]            = sqrt(left_squares[n]), computed on first read: for
                       n >= 1 the square-function lower bound on the shell J_n,
@@ -85,9 +83,9 @@ def _left_squares(g: Density, n_max: int):
     left_squares[0]) are squared and summed in place by np.cumsum, the carried
     sum added to the first, so every entry is the float that one np.cumsum over
     all the squares gives."""
-    prev, carry = None, _LD(0)
+    prev, carry = None, 0
     for block in g.spine_blocks(n_max):
-        d = np.empty(block.size, dtype=_LD)
+        d = np.empty_like(block)
         with np.errstate(over="ignore", invalid="ignore"):  # weighted_snorm raises on them
             np.subtract(block[1:], block[:-1], out=d[1:])
             d[0] = 0 if prev is None else block[0] - prev
@@ -190,9 +188,10 @@ def partial_mass_profile(g: Density, w: Density, p: float, ks) -> np.ndarray:
     ks = np.atleast_1d(np.asarray(ks, dtype=int))
     if ks.min() < 0:
         raise ValueError("k must be >= 0")
-    left_squares = np.empty(ks.size, dtype=_LD)
     lo = 0  # the entries below lo are gathered
     for block in _left_squares(g, int(ks.max())):
+        if lo == 0:
+            left_squares = np.empty(ks.size, dtype=block.dtype)
         at = (ks >= lo) & (ks < lo + block.size)
         left_squares[at] = block[ks[at] - lo]
         lo += block.size

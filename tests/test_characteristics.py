@@ -980,3 +980,32 @@ def test_radial_ainfty_of_a_power_is_the_closed_form(j):
 def test_radial_ainfty_of_a_power_past_the_overflow(j):
     with np.errstate(over="ignore", invalid="ignore"):
         _power_sweep(j)
+
+
+def test_the_spine_readers_take_their_number_format_from_the_spine(monkeypatch):
+    # the spine's number format is chosen in density.py alone: with double
+    # spines every reader computes in double, against closed forms in double
+    import dyadicsq.density as density
+    from dyadicsq.density import SignModulate
+    from dyadicsq.squarefn import partial_mass_profile, spine_profile
+
+    monkeypatch.setattr(density, "_LD", np.float64)
+    # alternating sigma*f: <g>_{I_k} = (-1)^k / 3, so each squared spine
+    # difference is 4/9
+    g, n_max = SignModulate(Constant(1.0)), 300
+    left_squares = spine_profile(g, n_max).left_squares
+    assert left_squares.dtype == np.float64
+    np.testing.assert_allclose(left_squares, 4.0 * np.arange(n_max + 1) / 9.0, rtol=1e-14)
+    # against x^-1/2, whose mass of I_k is 2^(1 - k/2)
+    ks, p = np.array([1, 7, 64, n_max]), 3.0
+    np.testing.assert_allclose(partial_mass_profile(g, Power(1.0, -0.5), p, ks),
+                               (4.0 * ks / 9.0) ** (p / 2.0) * 2.0 ** (1.0 - ks / 2.0), rtol=1e-13)
+    # <x^-1/2>_{I_k} = 2^(1 + k/2) and <x^1/2>_{I_k} = 2^-(k/2) / 1.5
+    k, n_max = np.arange(257), 256
+    np.testing.assert_allclose(spine_joint_ap_values(Power(1.0, -0.5), Power(1.0, 0.5), p, n_max),
+                               2.0 ** (1.0 + k / 2.0) * (2.0 ** (-k / 2.0) / 1.5) ** (p - 1.0),
+                               rtol=1e-13)
+    for sigma in (Power(1.0, -0.5), Power(1.0, 0.5)):
+        assert sigma.spine_averages(n_max).dtype == np.float64
+        assert dyadic_ainfty(sigma, mode="radial", n_max=n_max).value == \
+            pytest.approx(_per_root_radial(sigma, n_max, ch.RADIAL_ROOT_MAX), rel=1e-13)

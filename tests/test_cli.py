@@ -125,6 +125,17 @@ def test_beta_list_and_bad_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["scaling", "--family", "alternating"], ["ainfty-growth"]])
+def test_a_beta_grid_with_a_beta_list_is_a_usage_error(tmp_path, capsys, command):
+    # one sweep is asked for: a grid and a list together never sweep one of them
+    out = tmp_path / "g.csv"
+    code = run([*command, "--p", "3", "--beta-grid", "j=3..5", "--beta-list", "0.5,0.6,0.7",
+                "--out", str(out), "--no-timestamp"])
+    assert code == EXIT_USAGE
+    assert "argument --beta-list: not allowed with argument --beta-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_divergence_csv(tmp_path):
     out = tmp_path / "d.csv"
     assert run(["divergence", "--family", "lai_treil", "--p", "3", "--r", "0.4",
@@ -166,14 +177,14 @@ def test_nan_characteristic_is_a_precondition_error(tmp_path, monkeypatch, capsy
     # a NaN spine in place of the averages at beta = 1 - 2^-11 (n_max 32768)
     from dyadicsq.density import Power
 
-    build = Power._spine_averages
+    build = Power.spine_averages
 
     def holed(self, n_max):
         if n_max < 32768:
             return build(self, n_max)
         return np.full(n_max + 1, np.nan, dtype=np.longdouble)
 
-    monkeypatch.setattr(Power, "_spine_averages", holed)
+    monkeypatch.setattr(Power, "spine_averages", holed)
     out = tmp_path / "g.csv"
     code = run(["ainfty-growth", "--p", "3", "--beta-grid", "j=9..11",
                 "--out", str(out), "--no-timestamp"])
@@ -286,7 +297,7 @@ _OUT_OF_RANGE = {
         "NonFiniteTermError", "non-finite snorm term inf at shell J_8200, n_max 16384"),
     "scaling_alternating": (
         ["scaling", "--family", "alternating", "--p", "1.5", "--beta-grid", "j=3..10"],
-        "NonFiniteCandidateError", "nan candidate at spine interval I_16391, n_max 32768"),
+        "NonFiniteCandidateError", "NaN candidate at spine interval I_16391, n_max 32768"),
 }
 
 

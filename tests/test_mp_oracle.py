@@ -115,7 +115,7 @@ def test_power_spine_averages_are_within_four_ulps_of_mpmath(gamma):
     """
     c = 1.5
     g = Power(c, gamma)
-    i_avg = g._spine_averages(_N_MAX)
+    i_avg = g.spine_averages(_N_MAX)
     j_avg = _shell_averages(i_avg)
     g1 = mp.mpf(gamma) + 1
 
@@ -154,7 +154,7 @@ def test_power_spine_averages_overflow_and_underflow_where_the_exact_ones_do(c, 
     # with c's sign or 0, where I_k and 2 I_(k-1) are finite
     g = Power(c, gamma)
     with np.errstate(invalid="ignore"):  # 0 * inf
-        i_avg = g._spine_averages(_N_MAX)
+        i_avg = g.spine_averages(_N_MAX)
     coef = np.longdouble(c) / (np.longdouble(gamma) + 1)
     log2_scale = -gamma * np.arange(1, _N_MAX + 1, dtype=float)
     avg = i_avg[1:]

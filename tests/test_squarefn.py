@@ -170,7 +170,7 @@ class _Spine(Density):
     def __init__(self, i_avg):
         self.i_avg = i_avg
 
-    def _spine_averages(self, n_max):
+    def spine_averages(self, n_max):
         return self.i_avg[: n_max + 1].copy()
 
 
