@@ -26,12 +26,15 @@ class NonFiniteCandidateError(ValueError):
     """A candidate of a supremum came out NaN or +inf (an overflowed or 0/0 average)."""
 
 
-def _checked_max(best: float, value: float, where: str) -> float:
-    """max(best, value), except that a NaN or +inf value raises instead of
-    being dropped or reported as the supremum."""
-    if math.isnan(value) or value == math.inf:
-        raise NonFiniteCandidateError(f"{'NaN' if math.isnan(value) else 'inf'} candidate at {where}")
-    return max(best, value)
+def _checked_max(values, where) -> float:
+    """max(0, the largest of ``values``); the first NaN or +inf raises instead
+    of being dropped or reported as the supremum, ``where(i)`` naming values[i]."""
+    top = float(np.maximum.reduce(values, initial=0.0))
+    if not top < math.inf:
+        i = int(np.argmin(np.asarray(values) < np.inf))  # the first NaN or +inf
+        raise NonFiniteCandidateError(
+            f"{'NaN' if np.isnan(values[i]) else 'inf'} candidate at {where(i)}")
+    return top
 
 
 @dataclass(frozen=True)
@@ -53,16 +56,14 @@ def dyadic_joint_ap(w: Density, sigma: Density, p: float, depth: int) -> Charact
     for lev in range(depth + 1):
         with np.errstate(all="ignore"):  # an overflowed or 0/0 product raises below
             vals = aw[lev] * asig[lev] ** (p - 1.0)
-        best = _checked_max(best, float(np.max(vals)), f"roots of level {lev}, depth {depth}")
+        best = max(best, _checked_max(vals, lambda _: f"roots of level {lev}, depth {depth}"))
     return CharacteristicEstimate(best)
 
 
 def spine_joint_ap(w: Density, sigma: Density, p: float, n_max: int) -> CharacteristicEstimate:
     """Joint A_p product restricted to the spine intervals I_k, k <= n_max."""
     vals = spine_joint_ap_values(w, sigma, p, n_max)
-    if (bad := np.flatnonzero(np.isnan(vals) | (vals == np.inf))).size:
-        _checked_max(0.0, float(vals[bad[0]]), f"spine interval I_{bad[0]}, n_max {n_max}")
-    return CharacteristicEstimate(float(np.max(vals)))
+    return CharacteristicEstimate(_checked_max(vals, lambda k: f"spine interval I_{k}, n_max {n_max}"))
 
 
 def spine_joint_ap_values(w: Density, sigma: Density, p: float, n_max: int) -> np.ndarray:
@@ -90,19 +91,15 @@ def dyadic_ainfty(sigma: Density, depth: int | None = None, mode: str = "full_tr
     radial: roots restricted to the spine I_m, m <= RADIAL_ROOT_MAX; on each
     shell J_n the maximal function is bounded below by the best ancestor
     average among the spine intervals I_j (m <= j < n) and the shell itself,
-    which is exact for nonincreasing shell-wise monotone densities.  Only
-    the deepest root's weighted shell values are tabled, with their suffix
-    sums from one reversed cumsum.  A shallower root I_m differs from the
-    root below it only on the prefix where I_m leads, and past that prefix
-    it adds what a deeper root adds from there on, a sum already taken; on
-    the prefix its terms are I_m 2^-(k+1) wherever no later shell average
-    tops I_m, which sum in closed form to I_m (2^-a - 2^-b) over [a, b), and
-    only the terms before that are summed one by one.  So one call does
-    O(n_max + RADIAL_ROOT_MAX) extended-precision work on the monotone
-    spines, plus the length of those explicit stretches on others.  The
-    table stops at the first weight 2^-(k+1) that is 0 in extended
-    precision: past it the term of a finite shell value is exactly 0 and of
-    any other NaN, so one finiteness check stands for those shells.
+    which is exact for nonincreasing shell-wise monotone densities.  Below
+    the deepest root every root's term is the larger of its own best average
+    and the deepest root's value there, times the shell's weight: one
+    threshold sum per root over the deepest root's sorted table, read off its
+    prefix and suffix sums with one searchsorted, in O(n_max) extended-
+    precision work plus the sort.  The table stops at the first weight
+    2^-(k+1) that is 0 in extended precision: past it the term of a finite
+    value is exactly 0 and of any other NaN, so one finiteness check stands
+    for those shells.
 
     The shell averages come from the spine: <sigma>_{I_k} is the mean of
     <sigma>_{I_(k+1)} and <sigma>_{J_(k+1)}, so J_(k+1) = 2 I_k - I_(k+1),
@@ -133,7 +130,7 @@ def _ainfty_full_tree(sigma: Density, depth: int) -> CharacteristicEstimate:
         sums = running.reshape(2 ** lev, n_leaf // 2 ** lev).sum(axis=1) / n_leaf
         with np.errstate(all="ignore"):  # an overflowed or 0/0 ratio raises below
             ratios = sums / (avgs[lev] * 2.0 ** (-lev))
-        best = _checked_max(best, float(np.max(ratios)), f"roots of level {lev}, depth {depth}")
+        best = max(best, _checked_max(ratios, lambda _: f"roots of level {lev}, depth {depth}"))
     return CharacteristicEstimate(best)
 
 
@@ -142,11 +139,8 @@ def _ainfty_radial(sigma: Density, n_max: int) -> CharacteristicEstimate:
     top = min(RADIAL_ROOT_MAX, n_max - 2)
     if top < 0:
         return CharacteristicEstimate(0.0)
-    best = 0.0
     candidates = _radial_candidates(i_avg, _shell_averages(i_avg), n_max, top)
-    for m, ratio in enumerate(candidates.tolist()):
-        best = _checked_max(best, ratio, f"root I_{m}, n_max {n_max}")
-    return CharacteristicEstimate(best)
+    return CharacteristicEstimate(_checked_max(candidates, lambda m: f"root I_{m}, n_max {n_max}"))
 
 
 def _shell_averages(i_avg):
@@ -162,80 +156,48 @@ def _radial_candidates(i_avg, j_avg, n_max: int, top: int) -> np.ndarray:
     """The radial candidate of each root I_m, m = 0..top, as doubles."""
     # Root m sums t_m[k] = max(C_m[k], J_(k+1)) 2^-(k+1) over k in [m, n_max)
     # and scales the sum by 2^m, with C_m[k] = max I_(m..k) the best spine
-    # average from root m down to I_k.  C_m = max(I_m, C_(m+1)) is I_m on the
-    # prefix [m+1, ends[m]) that I_m leads, where C_(m+1) < I_m, and C_(m+1)
-    # from ends[m] on.  The led prefixes nest, so from e = ends[m] on root m
-    # has the terms of root e, or of root top if e > top: its sum is t_m[m],
-    # its led terms and the sum of that root from e on.  Only root top's
-    # terms are tabled, and summed once: O(n_max + top) extended-precision
-    # work, plus the led terms that are summed one by one (below).
+    # average from root m down to I_k (NaN kept).  Past top, C_m[k] =
+    # max(M_m, C_top[k]) with M_m = C_m[top], so t_m[k] = max(M_m, D[k])
+    # 2^-(k+1) with D[k] = max(C_top[k], J_(k+1)), the deepest root's table:
+    # sorted by D (NaN last), the terms with D[k] <= M_m are M_m times a
+    # prefix sum of the weights, and the others a suffix sum of the terms.
     #
-    # The cut is the number of weights 2^-(k+1) that are not 0 in the
-    # spine's number format: halving stays exact down to its least positive
-    # value, a subnormal (2^-16445 with x87 extended precision, 2^-1074 in
-    # double), and half of that rounds to 0.  It is found per call, in
-    # microseconds: any extended-precision work at import raised the peak
-    # RSS of workloads that never reach here by half a megabyte
+    # The cut is the number of weights 2^-(k+1) not 0 in the spine's number
+    # format: halving is exact down to its least subnormal (2^-16445 in x87
+    # extended precision, 2^-1074 in double).  It is found per call, in
+    # microseconds: extended-precision work at import raised the peak RSS of
+    # workloads that never reach here by half a megabyte
     real = i_avg.dtype.type
     cut = min(n_max, -int(np.log2(np.nextafter(real(0), real(1)))))
+    deep = np.maximum.accumulate(i_avg[top:n_max])  # D[k] at k - top
+    np.maximum(deep, j_avg[top + 1 : n_max + 1], out=deep)
+    # past the cut a term max(M_m, D[k]) 0 is 0 where that maximum is finite
+    # and NaN where not: a NaN or +inf D[k] there makes every root NaN (and
+    # nothing is summed: x87 arithmetic on inf is slow)
+    past = deep[cut - top :]
+    if not (past < np.inf).all():
+        return np.full(top + 1, np.nan)
     weights = np.cumprod(np.broadcast_to(real(0.5), cut))  # 2^-(k+1), the bits of np.ldexp
-    # C_top on [top, n_max), NaN sorting last
-    deep = np.maximum.accumulate(i_avg[top:n_max])
-    # past the cut the weights are 0: a finite term is exactly 0 and any
-    # other NaN, so root top's sum from e on is NaN while e <= the last
-    # shell whose term is not finite
-    bad = np.flatnonzero(~np.isfinite(np.maximum(deep[cut - top :], j_avg[cut + 1 : n_max + 1])))
-    last_bad = cut + int(bad[-1]) if bad.size else -1
-    # suffix[k - start]: root top's sum over [k, cut), deepest term first,
-    # for the k no such NaN reaches (none, if there is one: on the
-    # overflowed j = 11 spine of ainfty-growth, adding up its inf terms
-    # before the cut took four times as long as the rest of the call)
-    start = min(max(top, last_bad + 1), cut)
-    suffix = np.maximum(deep[start - top : cut - top], j_avg[start + 1 : cut + 1])
-    suffix *= weights[start:]
-    np.cumsum(suffix[::-1], out=suffix[::-1])
-
-    def from_deep(e):
-        """Root top's sum over [e, n_max), e >= top."""
-        if e <= last_bad:
-            return real(np.nan)
-        return suffix[e - start] if e < cut else real(0)
-
-    # C_(m+1) is nondecreasing, NaN sorting last: row m of runs, the running
-    # maximum of I_(m+1)..I_(top-1) and then a NaN (the column reached when
-    # none of them passes I_m), then that maximum against C_top, which passes
-    # I_m where C_top does once those roots stay below it.  Root top leads
-    # nowhere, nor does any root if averages grow with depth
-    roots = i_avg[: top + 1]
+    # k <= top: C_m[k] in row m of a triangle, -inf left of the root
     cols = np.arange(top + 1)
-    below = cols > cols[:, None]
-    runs = np.maximum.accumulate(np.where(below, np.append(i_avg[:top], np.nan), -np.inf), axis=1)
-    first = (below & (np.isnan(runs) | (runs >= roots[:, None]))).argmax(axis=1)
-    ends = np.where(first < top, first, top + np.searchsorted(deep, roots))[:top]
-    # t_m[m] plus root m's led terms
-    own = np.maximum(roots[:top], j_avg[1 : top + 1]) * weights[:top]
-    if (leads := ends > cols[:top] + 1).any():
-        # J_(k+1)..J_(n_max) are at most a finite I_m from k = split[m] on,
-        # where root m's led terms are I_m 2^-(k+1): their sum up to end, the
-        # weights past the cut being 0, is I_m (2^-split - 2^-end).  Before
-        # split they are summed one by one
-        acc = np.maximum.accumulate(j_avg[:0:-1])  # max J_(n_max-t)..J_(n_max), NaN kept
-        after = np.maximum(n_max - np.searchsorted(acc, roots[:top], side="right"), cols[:top] + 1)
-        split = np.minimum(np.where(np.isfinite(roots[:top]), after, ends), ends)
-        end = np.minimum(ends, cut)
-        closed = leads & (split < end)
-        own[closed] += roots[:top][closed] * (weights[split[closed] - 1] - weights[end[closed] - 1])
-        for m in np.flatnonzero(leads & (split > cols[:top] + 1)).tolist():
-            x = int(split[m])
-            stop = min(x, cut)
-            terms = np.maximum(i_avg[m], j_avg[m + 2 : stop + 1])
-            own[m] += np.add.reduce(terms * weights[m + 1 : stop])
-            if x > cut and not np.isfinite(np.maximum(i_avg[m], j_avg[cut + 1 : x + 1])).all():
-                own[m] = np.nan
-    sums = [from_deep(top)]  # root top - i at i
-    for m, e in zip(range(top - 1, -1, -1), ends[::-1].tolist()):
-        sums.append(own[m] + (sums[top - e] if e <= top else from_deep(e)))
-    return (np.ldexp(np.array(sums[::-1]), cols) / roots).astype(float)
+    best = np.maximum.accumulate(np.where(cols >= cols[:, None], i_avg[: top + 1], -np.inf), axis=1)
+    head = np.maximum(best, j_avg[1 : top + 2]) * weights[: top + 1]
+    sums, bar = np.where(cols >= cols[:, None], head, 0).sum(axis=1), best[:, top]
+    # top < k < cut: the table sorted by D (NaN last), as monotone spines leave it
+    d, w = deep[1 : cut - top], weights[top + 1 :]
+    order = slice(None) if (d[1:] >= d[:-1]).all() else np.argsort(d, kind="stable")
+    d, w = d[order], w[order]
+    # low[i]: the weights of the i least terms; high[i]: the sum of the others
+    low, high = np.zeros((2, d.size + 1), dtype=d.dtype)
+    np.cumsum(w, out=low[1:])
+    np.multiply(d, w, out=high[:-1])
+    np.cumsum(high[::-1], out=high[::-1])
+    at = np.searchsorted(d, bar, side="right")
+    sums += np.multiply(bar, low[at], out=np.zeros_like(bar), where=at > 0) + high[at]
+    # and past the cut an infinite M_m, or -inf where D[k] is, makes root m NaN
+    if past.size:
+        sums[~np.isfinite(np.maximum(bar, past.min()))] = np.nan
+    return (np.ldexp(sums, cols) / i_avg[: top + 1]).astype(float)
 
 
 def interval_scans_joint_ap(w, sigma, p: float, spans, grid_step: float) -> list[CharacteristicEstimate]:
@@ -402,9 +364,8 @@ class _PairScan:
         div = self.div[la:lb]
         if not div[0]:
             div[:] = [(self.h * lag) ** self.p for lag in range(la, lb)]
-        top = float((v.max(axis=1) / div).max())
-        return _checked_max(best, top,
-                            f"rows {ra}..{rb - 1}, lags {la}..{lb - 1} of the interval scan")
+        where = f"rows {ra}..{rb - 1}, lags {la}..{lb - 1} of the interval scan"
+        return max(best, _checked_max([(v.max(axis=1) / div).max()], lambda _: where))
 
 
 def _singular_pair_maxima(w, sigma, p: float, spans) -> list[float]:
@@ -419,8 +380,7 @@ def _singular_pair_maxima(w, sigma, p: float, spans) -> list[float]:
     mw, ms = (g.masses(a, b) for g in (w, sigma))
     # Python floats: numpy's power is not float.__pow__ to the last bit
     vals = [_probe_value(x, y, n, p) for x, y, n in zip(mw.tolist(), ms.tolist(), (b - a).tolist())]
-    if bad := next(((v, ab) for v, ab in zip(vals, probes) if not v < math.inf), None):
-        _checked_max(0.0, bad[0], f"singular probe [{bad[1][0]!r}, {bad[1][1]!r}), span {top}")
+    _checked_max(vals, lambda i: f"singular probe [{probes[i][0]!r}, {probes[i][1]!r}), span {top}")
     return [max([0.0] + [v for v, (x, y) in zip(vals, probes) if -s <= x and y <= s])
             for s in spans]
 

@@ -35,6 +35,16 @@ SWEEP_TAIL_TOL = 2e-4
 # the A_infty growth sweep's n_max = 16/(1-beta): the radial sum of x^-beta
 # drops terms like 2^(-(1-beta) n), so its tail past n_max is about 2^-16
 GROWTH_DEPTH_FACTOR = 16.0
+# the deepest spine a command builds, the range Power.spine_averages is
+# checked over; a spine is held whole, 16 bytes a shell
+MAX_SPINE_DEPTH = 2 ** 22
+
+
+def _spine_depth(n_max: int, what: str) -> int:
+    """n_max, checked against MAX_SPINE_DEPTH before any spine is built."""
+    if n_max > MAX_SPINE_DEPTH:
+        raise ValueError(f"{what} needs a spine of depth {n_max}, past the cap 2^22")
+    return n_max
 
 
 def default_beta_grid(j_range=DEFAULT_J_RANGE) -> np.ndarray:
@@ -180,6 +190,7 @@ def square_function_experiment(family: str, p: float, n_max: int, tail_rel_tol: 
     inst = fam.make(p, **params)
     if n_max < 4:
         raise ValueError("n-max must be >= 4")
+    _spine_depth(n_max, "n-max")
     snorm = weighted_snorm(inst.sigma_f, inst.w, p, n_max=n_max, tail_rel_tol=tail_rel_tol)
     return Report({"family": family, "p": p, **params, "n_max": n_max,
                    "tail_rel_tol": tail_rel_tol},
@@ -195,7 +206,7 @@ def _beta_grid(betas) -> np.ndarray:
 
 
 def _sweep_n_max(beta: float) -> int:
-    return max(int(math.ceil(32.0 / (1.0 - beta))), 256)
+    return _spine_depth(max(int(math.ceil(32.0 / (1.0 - beta))), 256), f"beta {beta}")
 
 
 def scaling_experiment(family: str, p: float, betas=None) -> Report:
@@ -205,9 +216,8 @@ def scaling_experiment(family: str, p: float, betas=None) -> Report:
     betas = _beta_grid(betas)
     cols = {k: np.empty(betas.size) for k in
             ("fnorm", "snorm", "ap_joint", "ainfty_w", "ainfty_sigma", "ratio")}
-    for i, beta in enumerate(betas):
+    for i, (beta, nm) in enumerate(zip(betas, [_sweep_n_max(b) for b in betas])):
         inst = make(p, beta)
-        nm = _sweep_n_max(beta)
         snorm = weighted_snorm(inst.sigma_f, inst.w, p, n_max=nm,
                                tail_rel_tol=SWEEP_TAIL_TOL)
         ap = spine_joint_ap(inst.w, inst.sigma, p, nm).value
@@ -228,9 +238,9 @@ def ainfty_growth_experiment(p: float, betas=None) -> Report:
     """Radial Fujii-Wilson A_infty of x^-beta (fitted growth) and of the dual
     companion x^(beta/(p-1)) (boundedness table) across the beta grid."""
     betas = _beta_grid(betas)
+    depths = [_spine_depth(math.ceil(GROWTH_DEPTH_FACTOR / (1.0 - b)), f"beta {b}") for b in betas]
     cols = {k: np.empty(betas.size) for k in ("n_max", "ainfty_w", "ainfty_sigma")}
-    for i, beta in enumerate(betas):
-        nm = int(math.ceil(GROWTH_DEPTH_FACTOR / (1.0 - beta)))
+    for i, (beta, nm) in enumerate(zip(betas, depths)):
         cols["n_max"][i] = nm
         cols["ainfty_w"][i] = dyadic_ainfty(Power(1.0, -beta), mode="radial", n_max=nm).value
         cols["ainfty_sigma"][i] = dyadic_ainfty(

@@ -567,7 +567,7 @@ def test_extension_experiment_makes_no_scalar_integrate_call(monkeypatch):
 def _per_root_candidates(i_avg, j_avg, n_max, root_max):
     """(m, candidate of root I_m) with the weights 2^(m-n) raised afresh for
     every root and every root's terms summed on their own: the reference the
-    suffix pass must reproduce within rounding, and raise where it raises."""
+    threshold sum must reproduce within rounding, and raise where it raises."""
     for m in range(min(root_max, n_max - 2) + 1):
         cm = np.maximum.accumulate(i_avg[m:n_max])
         mvals = np.maximum(cm, j_avg[m + 1 : n_max + 1])
@@ -579,17 +579,19 @@ def _per_root_candidates(i_avg, j_avg, n_max, root_max):
 def _rounding(n_max, top):
     """Relative distance of a radial candidate, as a double, from the exact one.
 
-    Both the reference and the suffix pass sum nonnegative terms
+    Both the reference and the threshold sum add nonnegative terms
     max(C, J) 2^-(k+1) in extended precision (unit roundoff u = 2^-64), the
     products by a power of two being exact.  Every term passes through at
     most n_max + top + 2 roundings on its way to the sum divided by I_m: in
     the reference at most n_max - 1 additions and the division; in the
-    suffix pass at most n_max - top - 1 additions of the reversed cumsum (or
-    of a stretch summed one by one), two to join a root's own term, led
-    terms and the sum it takes over, one per root up the chain (at most
-    top), two for a closed-form led sum and one for the division.  A sum of
-    nonnegative terms so rounded is within (n_max + top + 2) u / (1 - (n_max
-    + top + 2) u) of the exact one, and the rounding to double adds 2^-53:
+    threshold sum, of the L <= n_max - top - 1 terms tabled from k = top + 1
+    to the cut, at most L - 1 additions in the prefix sums of the weights
+    (or the suffix sums of the terms), one to multiply by the root's own
+    best average M_m, one to add the suffix sum, one to add the terms of
+    k <= top (themselves at most top additions) and one for the division.
+    A sum of nonnegative terms so rounded is within (n_max + top + 2) u /
+    (1 - (n_max + top + 2) u) of the exact one, and the rounding to double
+    adds 2^-53:
     this returns that bound, with 2^-40 of slack for the quadratic terms.
     Terms that underflow, or lie past the first weight that is 0, are
     dropped by either side; on the spines tested here (averages within 2^60
@@ -704,14 +706,12 @@ def _assert_same_outcome(got, want, n_max, top):
 
 def _checked_reference(i_avg, j_avg, n_max, root_max):
     """The radial A_infty of the per-root candidates, raising at the first NaN."""
-    best = 0.0
-    for m, value in _per_root_candidates(i_avg, j_avg, n_max, root_max):
-        best = _checked_max(best, value, f"root I_{m}, n_max {n_max}")
-    return best
+    values = [value for _, value in _per_root_candidates(i_avg, j_avg, n_max, root_max)]
+    return _checked_max(values, lambda m: f"root I_{m}, n_max {n_max}")
 
 
 def _radial_outcomes(i_avg, j_avg, n_max, root_max):
-    """(suffix pass, per-root reference) outcomes of one spine whose shell
+    """(radial, per-root reference) outcomes of one spine whose shell
     averages j_avg stand in for those the radial derives from i_avg."""
     stub = _SpineStub(i_avg)
     with np.errstate(all="ignore"):
@@ -727,6 +727,8 @@ def _random_spine(rng, n_max, shape):
     enough that no weighted term of a spine of depth 3000 is subnormal."""
     if shape == "walk":  # long monotone runs both ways
         logs = np.clip(np.cumsum(rng.normal(0.0, 2.0, n_max + 1)), -60.0, 60.0)
+    elif shape == "steps":  # 3 or 4 levels shared by I and J: ties of D[k] and M_m
+        logs = rng.choice(np.array([-60.0, 0.0, 3.0, 60.0])[: rng.integers(3, 5)], n_max + 1)
     else:
         logs = rng.uniform(-60.0, 60.0, n_max + 1)
         logs = {"random": logs, "rising": np.sort(logs), "falling": -np.sort(-logs)}[shape]
@@ -739,7 +741,7 @@ _HOLES = st.lists(st.tuples(st.sampled_from(["i", "j"]), st.floats(0.0, 1.0),
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3000), st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["random", "walk", "rising", "falling"]), _HOLES)
+       st.sampled_from(["random", "walk", "rising", "falling", "steps"]), _HOLES)
 def test_radial_ainfty_is_the_checked_per_root_reference_on_any_spine(n_max, root_max, seed,
                                                                       shape, holes):
     # non-monotone spines with zeros, infinities and NaNs: the same value
@@ -756,10 +758,10 @@ def test_radial_ainfty_is_the_checked_per_root_reference_on_any_spine(n_max, roo
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 3000), st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["random", "walk", "rising", "falling"]))
+       st.sampled_from(["random", "walk", "rising", "falling", "steps"]))
 def test_radial_candidates_are_the_per_root_candidates(n_max, root_max, seed, shape):
-    # one suffix pass from the deepest root up gives every root the candidate
-    # of its own fresh maximum.accumulate and sum, within rounding
+    # one threshold sum over the deepest root's sorted table gives every root
+    # the candidate of its own fresh maximum.accumulate and sum, within rounding
     rng = np.random.default_rng(seed)
     i_avg, j_avg = _random_spine(rng, n_max, shape), _random_spine(rng, n_max, shape)
     j_avg[0] = np.nan
@@ -791,9 +793,9 @@ def _exact_candidates(i_avg, j_avg, n_max, top):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 200), st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["random", "walk", "rising", "falling"]))
+       st.sampled_from(["random", "walk", "rising", "falling", "steps"]))
 def test_the_rounding_bound_holds_against_the_exact_candidates(n_max, root_max, seed, shape):
-    # both the suffix pass and the per-root reference lie within _rounding of
+    # both the threshold sum and the per-root reference lie within _rounding of
     # the exact candidate of every root, on positive spines
     rng = np.random.default_rng(seed)
     i_avg, j_avg = _random_spine(rng, n_max, shape), _random_spine(rng, n_max, shape)
@@ -813,7 +815,7 @@ _CUT = int(np.count_nonzero(np.cumprod(np.broadcast_to(np.longdouble(0.5), 20000
 
 # (n_max, which, index): the hole sits in the term of k = cut - 1, cut or
 # cut + 1, as I_k or as J_(k+1), wherever the spine reaches it; or in the
-# average of root I_3, or in J_4, which the led prefixes of roots I_0..I_2 read
+# average of root I_3, or in J_4, which roots I_0..I_3 read above the table
 _HOLES_AT_THE_CUT = [(n_max, which, k + (which == "j"))
                      for n_max in (16445, 16446, 20000, 32768) for which in "ij"
                      for k in (_CUT - 1, _CUT, _CUT + 1, 3) if k + (which == "j") <= n_max]
@@ -823,9 +825,9 @@ _HOLES_AT_THE_CUT = [(n_max, which, k + (which == "j"))
 @pytest.mark.parametrize("value", [0.0, math.inf, -math.inf, math.nan])
 def test_radial_ainfty_with_a_hole_next_to_the_cut_is_the_per_root_outcome(n_max, which, index,
                                                                           value):
-    # on a falling spine every root leads to n_max, so its led prefix (closed
-    # form or summed one by one) crosses the cut; roots I_0..I_8 keep the
-    # per-root reference quick
+    # on a falling spine the roots' own averages M_m top most of the deepest
+    # root's table, whose sums run to the cut, and the finiteness check
+    # decides past it; roots I_0..I_8 keep the per-root reference quick
     rng = np.random.default_rng(n_max)
     spine = {"i": _random_spine(rng, n_max, "falling"), "j": _random_spine(rng, n_max, "falling")}
     spine["j"][0] = np.nan
@@ -836,9 +838,9 @@ def test_radial_ainfty_with_a_hole_next_to_the_cut_is_the_per_root_outcome(n_max
 
 @pytest.mark.parametrize("which, index, root", [("j", _CUT, 0), ("j", 4, 0), ("i", 3, 3)])
 def test_radial_ainfty_raises_where_the_per_root_reference_is_inf(which, index, root):
-    # +inf in the last shell before the cut, or in J_4 which the led
-    # prefixes of roots I_0..I_2 read, makes every candidate up to there
-    # inf; a 0 root average I_3 makes root I_3's candidate x/0 = inf.  An
+    # +inf in the last shell before the cut, or in J_4 which roots I_0..I_3
+    # read above the table, makes every candidate up to there inf; a 0 root
+    # average I_3 makes root I_3's candidate x/0 = inf.  An
     # inf candidate is no supremum: both sides raise at its root
     n_max = 20000
     rng = np.random.default_rng(n_max)

@@ -313,6 +313,44 @@ def test_an_out_of_range_command_prints_only_its_error_line(tmp_path, capsys, na
     assert not out.exists()
 
 
+# spines past the cap 2^22 exit 3 before any is built; all but the first
+# once asked numpy for 14.6 to 466 TiB and died with a MemoryError traceback
+_OVERSIZED = {
+    "square_function_at_the_cap": (
+        ["square-function", "--family", "lerner", "--p", "3", "--beta", "0.875",
+         "--n-max", str(2 ** 22 + 1)],
+        "n-max needs a spine of depth 4194305, past the cap 2^22"),
+    "square_function": (
+        ["square-function", "--family", "lerner", "--p", "3", "--beta", "0.875",
+         "--n-max", "1000000000000"],
+        "n-max needs a spine of depth 1000000000000, past the cap 2^22"),
+    "ainfty_growth": (
+        ["ainfty-growth", "--p", "3", "--beta-list", "0.5,0.75,0.999999999999"],
+        "beta 0.999999999999 needs a spine of depth 16000353955353, past the cap 2^22"),
+    "scaling_lerner": (
+        ["scaling", "--family", "lerner", "--p", "3", "--beta-list", "0.5,0.75,0.999999999999"],
+        "beta 0.999999999999 needs a spine of depth 32000707910705, past the cap 2^22"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED))
+def test_a_spine_past_the_cap_exits_3_before_it_is_built(tmp_path, name):
+    # in a fresh process with 2 GB of address space, so that a spine built
+    # after all fails at once instead of filling the memory
+    import subprocess
+    import sys
+
+    argv, message = _OVERSIZED[name]
+    out = tmp_path / "x.csv"
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9,) * 2); "
+            "from dyadicsq.cli import run; sys.exit(run(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == \
+        (EXIT_PRECONDITION, f'# error code=3 type=ValueError message="{message}"\n')
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", [
     ["characteristics", "--family", "lerner", "--p", "3", "--beta", "0.875", "--depth", "6"],
     ["characteristics", "--family", "direct_sum", "--p", "4", "--depth", "6"],
